@@ -44,7 +44,8 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use prov_core::{ImpactQuery, IndexProj, LineageQuery, NaiveImpact, NaiveLineage, PlanCache};
+use prov_core::service::{self, Algo, Request, Runs, Workflow};
+use prov_core::{parse_query, ImpactQuery, IndexProj, LineageQuery, NaiveLineage, ParsedQuery};
 use prov_dataflow::{to_dot, to_dot_with_diagnostics, AnalyzeConfig, Dataflow};
 use prov_engine::{BehaviorRegistry, Engine, FailedInvocation, RetryPolicy};
 use prov_model::{Index, PortRef, ProcessorName, RunId, Value};
@@ -467,48 +468,20 @@ fn save_workflow(args: &Args, store: &TraceStore, df: &Dataflow) -> Result<(), S
     Ok(())
 }
 
-fn parse_workflow_json(origin: &str, json: &str) -> Result<Dataflow, String> {
-    let mut df: Dataflow = serde_json::from_str(json).map_err(|e| format!("{origin}: {e}"))?;
-    df.reindex();
-    prov_dataflow::validate(&df).map_err(|e| format!("{origin}: {e}"))?;
-    Ok(df)
-}
-
 /// Loads a workflow spec from `--workflow FILE`.
 fn load_workflow(args: &Args) -> Result<Dataflow, String> {
     let path = args.required("workflow")?;
     let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_workflow_json(path, &json)
+    Dataflow::from_json(&json).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Resolves the workflow spec for a query: `--workflow FILE` wins; else
-/// `--wf NAME` is fetched from the database registry; else, if the
-/// database registers exactly one workflow, that one is used.
+/// Resolves the workflow spec for a command: `--workflow FILE` wins;
+/// else the database registry (`--wf NAME`, or the only registered spec).
 fn resolve_workflow(args: &Args, store: &TraceStore) -> Result<Dataflow, String> {
     if args.get("workflow").is_some() {
         return load_workflow(args);
     }
-    let name = match args.get("wf") {
-        Some(n) => prov_model::ProcessorName::from(n),
-        None => {
-            let names = store.workflow_names();
-            match names.as_slice() {
-                [only] => only.clone(),
-                [] => return Err("no workflow registered in the db; pass --workflow FILE".into()),
-                many => {
-                    return Err(format!(
-                        "db registers {} workflows ({}); pick one with --wf NAME",
-                        many.len(),
-                        many.iter().map(|n| n.as_str()).collect::<Vec<_>>().join(", ")
-                    ))
-                }
-            }
-        }
-    };
-    let json = store
-        .workflow_json(&name)
-        .ok_or_else(|| format!("workflow {name:?} is not registered in the db"))?;
-    parse_workflow_json(name.as_str(), &json)
+    service::registered_workflow(store, args.get("wf")).map_err(|e| e.to_string())
 }
 
 fn cmd_testbed(args: &Args) -> Result<(), String> {
@@ -734,56 +707,70 @@ fn parse_focus(args: &Args) -> Vec<ProcessorName> {
         .unwrap_or_default()
 }
 
-fn select_runs(args: &Args, store: &TraceStore) -> Result<Vec<RunId>, String> {
+/// `--all-runs`, or `--run N` (default 0).
+fn run_selection(args: &Args) -> Result<Runs, String> {
     if args.has_flag("all-runs") {
-        return Ok(store.runs().iter().map(|i| i.id).collect());
+        return Ok(Runs::All);
     }
-    let run: u64 = args.get_parsed("run")?.unwrap_or(0);
-    Ok(vec![RunId(run)])
+    Ok(Runs::One(RunId(args.get_parsed("run")?.unwrap_or(0))))
+}
+
+fn parse_algo(raw: &str) -> Result<Algo, String> {
+    raw.parse().map_err(|e: prov_core::CoreError| e.to_string())
+}
+
+/// Answers one query through [`service::execute`]. INDEXPROJ plans
+/// against `--workflow FILE` when given, else against the database
+/// registry (`--wf NAME`, or the only registered spec).
+fn answer(
+    store: &TraceStore,
+    args: &Args,
+    query: ParsedQuery,
+    algo: Algo,
+    obs: &Obs,
+    ctx: QueryCtx,
+) -> Result<service::Response, String> {
+    let given = match (algo, args.get("workflow")) {
+        (Algo::IndexProj, Some(_)) => Some(load_workflow(args)?),
+        _ => None,
+    };
+    let workflow = match &given {
+        Some(df) => Workflow::Given(df),
+        None => Workflow::Registered(args.get("wf").map(str::to_string)),
+    };
+    let req = Request { query, runs: run_selection(args)?, algo, workflow };
+    service::execute(store, &req, obs, ctx).map_err(|e| e.to_string())
+}
+
+fn print_answers(resp: &service::Response) {
+    if let Some(steps) = resp.plan_steps {
+        println!("plan: {steps} trace lookups");
+    }
+    for ans in &resp.answers {
+        print!("{ans}");
+    }
 }
 
 fn cmd_lineage(args: &Args) -> Result<(), String> {
     let store = open_db(args)?;
     let target = parse_port_ref(args.required("target")?)?;
-    let index = parse_index(args)?;
-    let focus = parse_focus(args);
-    let query = LineageQuery::focused(target, index, focus);
-    let runs = select_runs(args, &store)?;
-    let algo = args.get("algo").unwrap_or("indexproj");
-
+    let query = LineageQuery::focused(target, parse_index(args)?, parse_focus(args));
+    let algo = parse_algo(args.get("algo").unwrap_or("indexproj"))?;
     println!("{query}");
-    match algo {
-        "ni" => {
-            let ni = NaiveLineage::new();
-            for ans in ni.run_multi(&store, &runs, &query).map_err(|e| e.to_string())? {
-                print!("{ans}");
-            }
-        }
-        "indexproj" => {
-            let df = resolve_workflow(args, &store)?;
-            let ip = IndexProj::new(&df);
-            let plan = ip.plan(&query).map_err(|e| e.to_string())?;
-            println!("plan: {} trace lookups", plan.steps.len());
-            for ans in plan.execute_multi(&store, &runs).map_err(|e| e.to_string())? {
-                print!("{ans}");
-            }
-        }
-        other => return Err(format!("unknown --algo {other:?} (ni|indexproj)")),
-    }
+    let ctx = QueryCtx::new(query.to_string());
+    let resp = answer(&store, args, ParsedQuery::Lineage(query), algo, &Obs::disabled(), ctx)?;
+    print_answers(&resp);
     Ok(())
 }
 
 fn cmd_impact(args: &Args) -> Result<(), String> {
     let store = open_db(args)?;
     let source = parse_port_ref(args.required("target")?)?;
-    let index = parse_index(args)?;
-    let focus = parse_focus(args);
-    let query = ImpactQuery::focused(source, index, focus);
-    let runs = select_runs(args, &store)?;
+    let query = ImpactQuery::focused(source, parse_index(args)?, parse_focus(args));
     println!("{query}");
-    for ans in NaiveImpact::new().run_multi(&store, &runs, &query).map_err(|e| e.to_string())? {
-        print!("{ans}");
-    }
+    let ctx = QueryCtx::new(query.to_string());
+    let resp = answer(&store, args, ParsedQuery::Impact(query), Algo::Ni, &Obs::disabled(), ctx)?;
+    print_answers(&resp);
     Ok(())
 }
 
@@ -792,7 +779,7 @@ fn cmd_impact(args: &Args) -> Result<(), String> {
 fn cmd_audit(args: &Args) -> Result<(), String> {
     let store = open_db(args)?;
     let df = resolve_workflow(args, &store)?;
-    let runs = select_runs(args, &store)?;
+    let runs = run_selection(args)?.resolve(&store);
     let mut dirty = false;
     for run in runs {
         let report = prov_core::audit_run(&df, &store, run).map_err(|e| e.to_string())?;
@@ -806,13 +793,14 @@ fn cmd_audit(args: &Args) -> Result<(), String> {
     }
 }
 
-/// Hashes an impact query into the same fingerprint space as
-/// [`PlanCache::fingerprint`] uses for lineage queries.
-fn impact_fingerprint(query: &ImpactQuery) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    query.hash(&mut h);
-    h.finish()
+/// A query context for `raw` carrying `--tolerance` (the cost-model
+/// drift factor) when given.
+fn query_ctx(args: &Args, raw: &str) -> Result<QueryCtx, String> {
+    let mut ctx = QueryCtx::new(raw);
+    if let Some(tolerance) = args.get_parsed("tolerance")? {
+        ctx.tolerance = tolerance;
+    }
+    Ok(ctx)
 }
 
 /// Queries written in the paper's own notation, e.g.
@@ -835,73 +823,17 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     }
     let store = open_db(args)?;
     let raw = args.required("query")?;
-    let runs = select_runs(args, &store)?;
     let journal = Journal::from_env();
     store.attach_journal(&journal);
     let obs = Obs::disabled().with_journal(journal.clone());
-    let tolerance: f64 = args.get_parsed("tolerance")?.unwrap_or(10.0);
-    match prov_core::parse_query(raw).map_err(|e| e.to_string())? {
-        prov_core::ParsedQuery::Lineage(query) => {
-            println!("{query}");
-            let ctx = QueryCtx::new(raw).with_fingerprint(PlanCache::fingerprint(&query));
-            match args.get("algo").unwrap_or("ni") {
-                "ni" => {
-                    for ans in NaiveLineage::new()
-                        .run_multi_ctx(&store, &runs, &query, &obs, &ctx)
-                        .map_err(|e| e.to_string())?
-                    {
-                        print!("{ans}");
-                    }
-                }
-                "indexproj" => {
-                    let df = resolve_workflow(args, &store)?;
-                    let ip = IndexProj::new(&df);
-                    // Explain (rather than bare plan) so the cost model's
-                    // prediction rides along and drift is detectable.
-                    let ex = ip
-                        .explain_with(
-                            &query,
-                            &store.index_catalog(),
-                            |step, id| {
-                                Some(store.port_cardinality(
-                                    id,
-                                    runs[0],
-                                    &step.processor,
-                                    &step.port,
-                                ))
-                            },
-                            &Obs::disabled(),
-                        )
-                        .map_err(|e| e.to_string())?;
-                    let ctx = ctx.with_prediction(
-                        ex.cost.index_lookups,
-                        ex.cost.rows_scanned,
-                        ex.cost.grounded,
-                        tolerance,
-                    );
-                    println!("plan: {} trace lookups", ex.plan.steps.len());
-                    for ans in ex
-                        .plan
-                        .execute_multi_ctx(&store, &runs, &obs, &ctx)
-                        .map_err(|e| e.to_string())?
-                    {
-                        print!("{ans}");
-                    }
-                }
-                other => return Err(format!("unknown --algo {other:?} (ni|indexproj)")),
-            }
-        }
-        prov_core::ParsedQuery::Impact(query) => {
-            println!("{query}");
-            let ctx = QueryCtx::new(raw).with_fingerprint(impact_fingerprint(&query));
-            let imp = NaiveImpact::new();
-            for &run in &runs {
-                let ans =
-                    imp.run_ctx(&store, run, &query, &obs, &ctx).map_err(|e| e.to_string())?;
-                print!("{ans}");
-            }
-        }
+    let query = parse_query(raw).map_err(|e| e.to_string())?;
+    match &query {
+        ParsedQuery::Lineage(q) => println!("{q}"),
+        ParsedQuery::Impact(q) => println!("{q}"),
     }
+    let algo = parse_algo(args.get("algo").unwrap_or("ni"))?;
+    let resp = answer(&store, args, query, algo, &obs, query_ctx(args, raw)?)?;
+    print_answers(&resp);
     journal_io::persist(args.required("db")?, &journal)?;
     Ok(())
 }
@@ -1142,17 +1074,16 @@ fn fmt_ns(ns: u64) -> String {
 fn cmd_profile(args: &Args) -> Result<(), String> {
     let store = open_db(args)?;
     let raw = args.required("query")?;
-    let query = match prov_core::parse_query(raw).map_err(|e| e.to_string())? {
-        prov_core::ParsedQuery::Lineage(q) => q,
-        prov_core::ParsedQuery::Impact(_) => {
+    let query = match parse_query(raw).map_err(|e| e.to_string())? {
+        ParsedQuery::Lineage(q) => q,
+        ParsedQuery::Impact(_) => {
             return Err("profile supports lineage queries only (lin(<P:Y[i]>, {focus}))".into())
         }
     };
-    let runs = select_runs(args, &store)?;
-    let algo = args.get("algo").unwrap_or("both");
-    if !matches!(algo, "ni" | "indexproj" | "both") {
-        return Err(format!("unknown --algo {algo:?} (ni|indexproj|both)"));
-    }
+    let algos = match args.get("algo").unwrap_or("both") {
+        "both" => vec![Algo::Ni, Algo::IndexProj],
+        one => vec![parse_algo(one)?],
+    };
 
     let obs = Obs::enabled();
     store.register_metrics(&obs.metrics);
@@ -1160,44 +1091,17 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     obs.journal.register_metrics(&obs.metrics);
     let before = obs.metrics.snapshot();
     println!("{query}");
-    let fingerprint = PlanCache::fingerprint(&query);
-    let tolerance: f64 = args.get_parsed("tolerance")?.unwrap_or(10.0);
-
-    let mut ran_ni = false;
-    let mut ran_ip = false;
-    if algo != "indexproj" {
+    for &algo in &algos {
         // Each algorithm gets its own trace id, so the journal separates
         // NI's events from INDEXPROJ's in the same process.
-        let ctx = QueryCtx::new(raw).with_fingerprint(fingerprint);
-        let answers = NaiveLineage::new()
-            .run_multi_ctx(&store, &runs, &query, &obs, &ctx)
-            .map_err(|e| e.to_string())?;
-        let bindings: usize = answers.iter().map(|a| a.bindings.len()).sum();
-        println!("NI: {} run(s), {bindings} lineage binding(s)", answers.len());
-        ran_ni = true;
+        let ctx = query_ctx(args, raw)?;
+        let resp = answer(&store, args, ParsedQuery::Lineage(query.clone()), algo, &obs, ctx)?;
+        let bindings: usize = resp.answers.iter().map(|a| a.bindings.len()).sum();
+        let label = if algo == Algo::Ni { "NI" } else { "INDEXPROJ" };
+        println!("{label}: {} run(s), {bindings} lineage binding(s)", resp.answers.len());
     }
-    if algo != "ni" {
-        let df = resolve_workflow(args, &store)?;
-        let ex = IndexProj::new(&df)
-            .explain_with(
-                &query,
-                &store.index_catalog(),
-                |step, id| Some(store.port_cardinality(id, runs[0], &step.processor, &step.port)),
-                &obs,
-            )
-            .map_err(|e| e.to_string())?;
-        let ctx = QueryCtx::new(raw).with_fingerprint(fingerprint).with_prediction(
-            ex.cost.index_lookups,
-            ex.cost.rows_scanned,
-            ex.cost.grounded,
-            tolerance,
-        );
-        let answers =
-            ex.plan.execute_multi_ctx(&store, &runs, &obs, &ctx).map_err(|e| e.to_string())?;
-        let bindings: usize = answers.iter().map(|a| a.bindings.len()).sum();
-        println!("INDEXPROJ: {} run(s), {bindings} lineage binding(s)", answers.len());
-        ran_ip = true;
-    }
+    let ran_ni = algos.contains(&Algo::Ni);
+    let ran_ip = algos.contains(&Algo::IndexProj);
 
     // Per-stage table with midpoint-interpolated quantiles: span
     // durations feed one standalone log2 histogram per (stage, cat).
@@ -1579,7 +1483,7 @@ fn cmd_find_value(args: &Args) -> Result<(), String> {
     let raw = args.required("value")?;
     // Accept either full Value JSON or a bare string shorthand.
     let value: Value = serde_json::from_str(raw).unwrap_or_else(|_| Value::str(raw));
-    let runs = select_runs(args, &store)?;
+    let runs = run_selection(args)?.resolve(&store);
     let focus = parse_focus(args);
     for run in runs {
         let hits = store.bindings_with_value(run, &value);

@@ -169,6 +169,25 @@ fn query_command_parses_paper_notation() {
 }
 
 #[test]
+fn indexproj_over_an_empty_run_set_answers_nothing() {
+    // A spec file from one database, queried against another with no runs.
+    let src = TempDb::new("empty-runs-src");
+    assert!(tprov(&["testbed", "--db", src.arg(), "--l", "3", "--d", "2"]).status.success());
+    let wf = src.sidecar("testbed");
+    let db = TempDb::new("empty-runs");
+    let q = "lin(<2TO1_FINAL:Y[0,0]>, {LISTGEN_1})";
+    let common = ["--db", db.arg(), "--all-runs", "--algo", "indexproj", "--workflow", &wf];
+
+    let out = tprov(&[&["query", "--query", q][..], &common[..]].concat());
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(!stdout(&out).contains("run:"), "{}", stdout(&out));
+
+    let out = tprov(&[&["profile", q][..], &common[..]].concat());
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("INDEXPROJ: 0 run(s), 0 lineage binding(s)"), "{}", stdout(&out));
+}
+
+#[test]
 fn audit_reports_clean_for_engine_traces() {
     let db = TempDb::new("audit");
     assert!(tprov(&["testbed", "--db", db.arg(), "--l", "3", "--d", "2"]).status.success());

@@ -24,6 +24,25 @@ pub enum CoreError {
         /// The error-level findings, in stable diagnostic order.
         findings: Vec<prov_dataflow::Diagnostic>,
     },
+    /// The query text did not parse.
+    Parse(crate::ParseError),
+    /// A query named an algorithm other than `ni` or `indexproj`.
+    UnknownAlgo {
+        /// The name as given.
+        algo: String,
+    },
+    /// INDEXPROJ needs a workflow spec, and the store registers none.
+    NoWorkflow,
+    /// The store registers several workflows and the query named none.
+    AmbiguousWorkflow {
+        /// The registered names, in registry order.
+        names: Vec<String>,
+    },
+    /// The query named a workflow the store does not register.
+    UnknownWorkflow {
+        /// The name as given.
+        name: String,
+    },
     /// A [`QueryCtx`](prov_obs::QueryCtx) deadline passed mid-execution;
     /// the query was abandoned between steps. Work already performed is
     /// still reflected in the store counters and journal.
@@ -48,6 +67,22 @@ impl fmt::Display for CoreError {
                 }
                 Ok(())
             }
+            CoreError::Parse(e) => write!(f, "{e}"),
+            CoreError::UnknownAlgo { algo } => {
+                write!(f, "unknown algorithm {algo:?} (use ni or indexproj)")
+            }
+            CoreError::NoWorkflow => {
+                write!(f, "no workflow registered in the database; INDEXPROJ needs one")
+            }
+            CoreError::AmbiguousWorkflow { names } => write!(
+                f,
+                "the database registers {} workflows ({}); name one (wf / --wf NAME)",
+                names.len(),
+                names.join(", ")
+            ),
+            CoreError::UnknownWorkflow { name } => {
+                write!(f, "workflow {name:?} is not registered in the database")
+            }
             CoreError::DeadlineExceeded { query } => {
                 write!(f, "query {query:?} abandoned: deadline exceeded")
             }
@@ -60,6 +95,12 @@ impl std::error::Error for CoreError {}
 impl From<DataflowError> for CoreError {
     fn from(e: DataflowError) -> Self {
         CoreError::Dataflow(e)
+    }
+}
+
+impl From<crate::ParseError> for CoreError {
+    fn from(e: crate::ParseError) -> Self {
+        CoreError::Parse(e)
     }
 }
 

@@ -101,51 +101,23 @@ impl LineagePlan {
     /// query per step. Large plans fan their (mutually independent) steps
     /// out across scoped threads; results are recombined in step order, so
     /// the answer — and which error surfaces, if any — is identical to the
-    /// sequential loop's.
+    /// sequential loop's. The run's trace is pinned once
+    /// ([`TraceStore::pin`], one brief read lock); every step then probes
+    /// the immutable snapshot lock-free.
     pub fn execute(&self, store: &TraceStore, run: RunId) -> Result<LineageAnswer> {
-        self.execute_with(store, run, &Obs::disabled())
-    }
-
-    /// [`LineagePlan::execute`] with observability: each step records an
-    /// `indexproj.step` span charging the paper's `t2` account, and answer
-    /// assembly records an `indexproj.assemble` span charging `t1`.
-    ///
-    /// The run's trace is pinned once ([`TraceStore::pin`], one brief read
-    /// lock); every step then probes the immutable snapshot lock-free.
-    pub fn execute_with(&self, store: &TraceStore, run: RunId, obs: &Obs) -> Result<LineageAnswer> {
-        self.execute_pinned(&store.pin(run), obs)
-    }
-
-    /// [`LineagePlan::execute_with`] under a [`QueryCtx`]: journal events
-    /// (`QueryStarted`/`PlanStep`/`QueryFinished`) are stamped with the
-    /// context's trace id, the deadline is enforced between steps, and the
-    /// attached cost prediction (if any) is drift-checked on completion.
-    pub fn execute_ctx(
-        &self,
-        store: &TraceStore,
-        run: RunId,
-        obs: &Obs,
-        ctx: &QueryCtx,
-    ) -> Result<LineageAnswer> {
-        self.execute_pinned_ctx(&store.pin(run), obs, ctx)
+        self.execute_pinned(&store.pin(run), &Obs::disabled())
     }
 
     /// Executes the plan against an already-pinned read snapshot. The
     /// answer is for the view's run *as of the pin*: events recorded after
     /// [`TraceStore::pin`] returned are not visible, which makes answers
     /// stable even while an engine is streaming into the same store.
+    ///
+    /// Each step records an `indexproj.step` span charging the paper's
+    /// `t2` account, and answer assembly records an `indexproj.assemble`
+    /// span charging `t1`.
     pub fn execute_pinned(&self, view: &ReadView, obs: &Obs) -> Result<LineageAnswer> {
         self.execute_view(view, obs, self.steps.len() >= crate::par::STEP_FANOUT_MIN, None)
-    }
-
-    /// [`LineagePlan::execute_pinned`] under a [`QueryCtx`].
-    pub fn execute_pinned_ctx(
-        &self,
-        view: &ReadView,
-        obs: &Obs,
-        ctx: &QueryCtx,
-    ) -> Result<LineageAnswer> {
-        self.execute_view(view, obs, self.steps.len() >= crate::par::STEP_FANOUT_MIN, Some(ctx))
     }
 
     /// Each step counts its probe work into a step-local [`ProbeStats`]
@@ -279,31 +251,25 @@ impl LineagePlan {
     /// answers come back in run order and any error is reported for the
     /// lowest failing run index, exactly as sequentially.
     pub fn execute_multi(&self, store: &TraceStore, runs: &[RunId]) -> Result<Vec<LineageAnswer>> {
-        self.execute_multi_with(store, runs, &Obs::disabled())
+        self.execute_multi_inner(store, runs, &Obs::disabled(), None)
     }
 
-    /// [`LineagePlan::execute_multi`] with observability. The `Obs` handle
-    /// is shared by every worker thread; spans land on one timeline with
-    /// per-worker `tid`s, so aggregated totals equal the sequential run's.
+    /// [`LineagePlan::execute_multi`] under a [`QueryCtx`]: journal events
+    /// (`QueryStarted`/`PlanStep`/`QueryFinished`) are stamped with the
+    /// context's trace id, the deadline is enforced between steps, and the
+    /// attached cost prediction (if any) is drift-checked on completion.
+    /// Every run emits its own `QueryFinished` (carrying the run id), so a
+    /// multi-run sweep reassembles into per-run totals from the journal
+    /// alone.
     ///
-    /// Each worker pins its run's snapshot up front and runs the plan's
-    /// steps *sequentially* against it: with one worker per run there is
-    /// nothing left to gain from nested step fan-out, and suppressing it
-    /// keeps the thread count bounded by the pool size instead of its
-    /// square. After the pin, a worker acquires **zero** locks.
-    pub fn execute_multi_with(
-        &self,
-        store: &TraceStore,
-        runs: &[RunId],
-        obs: &Obs,
-    ) -> Result<Vec<LineageAnswer>> {
-        self.execute_multi_inner(store, runs, obs, None)
-    }
-
-    /// [`LineagePlan::execute_multi_with`] under a [`QueryCtx`]: every
-    /// run's execution shares the context's trace id and emits its own
-    /// `QueryFinished` (carrying the run id), so a multi-run sweep
-    /// reassembles into per-run totals from the journal alone.
+    /// The `Obs` handle is shared by every worker thread; spans land on
+    /// one timeline with per-worker `tid`s, so aggregated totals equal the
+    /// sequential run's. Each worker pins its run's snapshot up front and
+    /// runs the plan's steps *sequentially* against it: with one worker
+    /// per run there is nothing left to gain from nested step fan-out, and
+    /// suppressing it keeps the thread count bounded by the pool size
+    /// instead of its square. After the pin, a worker acquires **zero**
+    /// locks.
     pub fn execute_multi_ctx(
         &self,
         store: &TraceStore,
@@ -437,18 +403,6 @@ impl<'a> IndexProj<'a> {
         self.plan(query)?.execute(store, run)
     }
 
-    /// Plans and executes in one call, with observability (spans for the
-    /// *s1* planning phase and each *s2* step).
-    pub fn run_with(
-        &self,
-        store: &TraceStore,
-        run: RunId,
-        query: &LineageQuery,
-        obs: &Obs,
-    ) -> Result<LineageAnswer> {
-        self.plan_with(query, obs)?.execute_with(store, run, obs)
-    }
-
     /// Plans once and executes over several runs.
     pub fn run_multi(
         &self,
@@ -457,31 +411,6 @@ impl<'a> IndexProj<'a> {
         query: &LineageQuery,
     ) -> Result<Vec<LineageAnswer>> {
         self.plan(query)?.execute_multi(store, runs)
-    }
-
-    /// Plans once and executes over several runs, with observability.
-    pub fn run_multi_with(
-        &self,
-        store: &TraceStore,
-        runs: &[RunId],
-        query: &LineageQuery,
-        obs: &Obs,
-    ) -> Result<Vec<LineageAnswer>> {
-        self.plan_with(query, obs)?.execute_multi_with(store, runs, obs)
-    }
-
-    /// Plans and executes under a [`QueryCtx`] (trace-id stamping,
-    /// deadline enforcement, drift check — see
-    /// [`LineagePlan::execute_ctx`]).
-    pub fn run_ctx(
-        &self,
-        store: &TraceStore,
-        run: RunId,
-        query: &LineageQuery,
-        obs: &Obs,
-        ctx: &QueryCtx,
-    ) -> Result<LineageAnswer> {
-        self.plan_with(query, obs)?.execute_ctx(store, run, obs, ctx)
     }
 }
 
@@ -858,7 +787,7 @@ mod tests {
         let store = TraceStore::in_memory();
         let run = store.begin_run(&ProcessorName::from("wf"));
         let obs = prov_obs::Obs::enabled();
-        let answer = ip.run_with(&store, run, &q, &obs).unwrap();
+        let answer = ip.plan_with(&q, &obs).unwrap().execute_pinned(&store.pin(run), &obs).unwrap();
         let spans = obs.profiler.spans();
         let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
         assert_eq!(count("indexproj.plan"), 1);

@@ -22,6 +22,9 @@
 //! [`LineagePlan::execute`] takes the run id as a parameter, so a sweep
 //! over `n` runs costs one *s1* plus `n × s2`. [`PlanCache`] memoises plans
 //! per `(target, index, 𝒫)`.
+//!
+//! [`service::execute`] is the one query path: the CLI, the daemon and
+//! replicas all answer through it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,6 +43,7 @@ mod par;
 mod parse;
 mod plan_cache;
 mod query;
+pub mod service;
 mod verify;
 
 pub use answer::LineageAnswer;

@@ -41,29 +41,20 @@ impl NaiveLineage {
         run: RunId,
         query: &LineageQuery,
     ) -> Result<LineageAnswer> {
-        self.run_with(store, run, query, &Obs::disabled())
-    }
-
-    /// [`NaiveLineage::run`] with observability: one `ni.traverse` span
-    /// covers the whole traversal, and every popped node records an
-    /// `ni.hop` span charging the paper's `t2` account — the trace
-    /// accesses that invert one provenance-graph node — tagged with its
-    /// distance from the query target (`depth`). `t1` (pure traversal
-    /// bookkeeping) is the traverse span minus the sum of its hops.
-    pub fn run_with(
-        &self,
-        store: &TraceStore,
-        run: RunId,
-        query: &LineageQuery,
-        obs: &Obs,
-    ) -> Result<LineageAnswer> {
-        self.run_pinned(&store.pin(run), query, obs)
+        self.run_pinned(&store.pin(run), query, &Obs::disabled())
     }
 
     /// Answers `query` against an already-pinned read snapshot
     /// ([`prov_store::TraceStore::pin`]). The whole traversal probes the
     /// immutable view without acquiring any lock, and sees the run's trace
     /// exactly as of the pin even while recording continues.
+    ///
+    /// One `ni.traverse` span covers the whole traversal, and every popped
+    /// node records an `ni.hop` span charging the paper's `t2` account —
+    /// the trace accesses that invert one provenance-graph node — tagged
+    /// with its distance from the query target (`depth`). `t1` (pure
+    /// traversal bookkeeping) is the traverse span minus the sum of its
+    /// hops.
     pub fn run_pinned(
         &self,
         view: &ReadView,
@@ -71,22 +62,6 @@ impl NaiveLineage {
         obs: &Obs,
     ) -> Result<LineageAnswer> {
         self.run_pinned_inner(view, query, obs, None)
-    }
-
-    /// [`NaiveLineage::run_with`] under a [`QueryCtx`]: the traversal's
-    /// trace accesses accumulate into query-local counters (journalled as
-    /// one `QueryFinished` with exact totals — per-hop events would swamp
-    /// the ring on deep graphs), and the deadline is enforced between
-    /// hops.
-    pub fn run_ctx(
-        &self,
-        store: &TraceStore,
-        run: RunId,
-        query: &LineageQuery,
-        obs: &Obs,
-        ctx: &QueryCtx,
-    ) -> Result<LineageAnswer> {
-        self.run_pinned_inner(&store.pin(run), query, obs, Some(ctx))
     }
 
     fn run_pinned_inner(
@@ -251,32 +226,17 @@ impl NaiveLineage {
         runs: &[RunId],
         query: &LineageQuery,
     ) -> Result<Vec<LineageAnswer>> {
-        self.run_multi_with(store, runs, query, &Obs::disabled())
+        self.run_multi_inner(store, runs, query, &Obs::disabled(), None)
     }
 
-    /// [`NaiveLineage::run_multi`] with observability; the shared `Obs`
-    /// collects every worker's spans on one timeline. Each worker pins its
-    /// run's snapshot once and traverses it lock-free.
-    pub fn run_multi_with(
-        &self,
-        store: &TraceStore,
-        runs: &[RunId],
-        query: &LineageQuery,
-        obs: &Obs,
-    ) -> Result<Vec<LineageAnswer>> {
-        if runs.len() >= crate::par::RUN_FANOUT_MIN {
-            crate::par::parallel_map(runs, |&r| self.run_pinned(&store.pin(r), query, obs))
-                .into_iter()
-                .collect()
-        } else {
-            runs.iter().map(|&r| self.run_with(store, r, query, obs)).collect()
-        }
-    }
-
-    /// [`NaiveLineage::run_multi_with`] under a [`QueryCtx`]: every run's
-    /// traversal journals its own `QueryStarted`/`QueryFinished` pair
-    /// under the shared trace id, so per-query totals reassemble even
-    /// when runs fan out across threads.
+    /// [`NaiveLineage::run_multi`] under a [`QueryCtx`]: the traversal's
+    /// trace accesses accumulate into query-local counters (journalled as
+    /// one `QueryFinished` per run with exact totals — per-hop events
+    /// would swamp the ring on deep graphs), the deadline is enforced
+    /// between hops, and every run's `QueryStarted`/`QueryFinished` pair
+    /// shares the trace id, so per-query totals reassemble even when runs
+    /// fan out across threads. The shared `Obs` collects every worker's
+    /// spans on one timeline.
     pub fn run_multi_ctx(
         &self,
         store: &TraceStore,
@@ -285,16 +245,24 @@ impl NaiveLineage {
         obs: &Obs,
         ctx: &QueryCtx,
     ) -> Result<Vec<LineageAnswer>> {
+        self.run_multi_inner(store, runs, query, obs, Some(ctx))
+    }
+
+    /// Each worker pins its run's snapshot once and traverses it
+    /// lock-free.
+    fn run_multi_inner(
+        &self,
+        store: &TraceStore,
+        runs: &[RunId],
+        query: &LineageQuery,
+        obs: &Obs,
+        ctx: Option<&QueryCtx>,
+    ) -> Result<Vec<LineageAnswer>> {
+        let one = |&r: &RunId| self.run_pinned_inner(&store.pin(r), query, obs, ctx);
         if runs.len() >= crate::par::RUN_FANOUT_MIN {
-            crate::par::parallel_map(runs, |&r| {
-                self.run_pinned_inner(&store.pin(r), query, obs, Some(ctx))
-            })
-            .into_iter()
-            .collect()
+            crate::par::parallel_map(runs, one).into_iter().collect()
         } else {
-            runs.iter()
-                .map(|&r| self.run_pinned_inner(&store.pin(r), query, obs, Some(ctx)))
-                .collect()
+            runs.iter().map(one).collect()
         }
     }
 }
@@ -423,7 +391,7 @@ mod tests {
         );
         let obs = prov_obs::Obs::enabled();
         let plain = NaiveLineage::new().run(&store, run, &q).unwrap();
-        let profiled = NaiveLineage::new().run_with(&store, run, &q, &obs).unwrap();
+        let profiled = NaiveLineage::new().run_pinned(&store.pin(run), &q, &obs).unwrap();
         assert_eq!(plain.bindings, profiled.bindings);
         let spans = obs.profiler.spans();
         let traverses = spans.iter().filter(|s| s.name == "ni.traverse").count();

@@ -371,19 +371,6 @@ impl<'a> IndexProj<'a> {
         }
         Ok((plan, report))
     }
-
-    /// Plans with pre-flight verification against the store's own catalog
-    /// and executes in one call — the checked counterpart of
-    /// [`IndexProj::run`].
-    pub fn run_checked(
-        &self,
-        store: &TraceStore,
-        run: RunId,
-        query: &LineageQuery,
-    ) -> Result<crate::LineageAnswer> {
-        let (plan, _) = self.plan_checked(query, &store.index_catalog())?;
-        plan.execute(store, run)
-    }
 }
 
 #[cfg(test)]

@@ -5,6 +5,8 @@ use std::fmt;
 /// Errors raised while building, validating or analysing a dataflow.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DataflowError {
+    /// Workflow JSON did not decode into a dataflow.
+    Json(String),
     /// A referenced processor does not exist.
     UnknownProcessor(String),
     /// A referenced port does not exist on the given processor (or on the
@@ -48,6 +50,7 @@ pub enum DataflowError {
 impl fmt::Display for DataflowError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            DataflowError::Json(m) => write!(f, "workflow JSON: {m}"),
             DataflowError::UnknownProcessor(p) => write!(f, "unknown processor {p:?}"),
             DataflowError::UnknownPort { processor, port } => {
                 write!(f, "unknown port {port:?} on {processor:?}")

@@ -212,6 +212,17 @@ impl Dataflow {
         self.index = self.processors.iter().enumerate().map(|(i, p)| (p.name.clone(), i)).collect();
     }
 
+    /// Loads a workflow spec from its JSON form: parses it, rebuilds the
+    /// name index and [`validate`](crate::validate)s it. Every reader of
+    /// stored or user-supplied workflow JSON goes through here.
+    pub fn from_json(json: &str) -> Result<Self> {
+        let mut df: Dataflow =
+            serde_json::from_str(json).map_err(|e| DataflowError::Json(e.to_string()))?;
+        df.reindex();
+        crate::validate(&df)?;
+        Ok(df)
+    }
+
     /// Looks up a processor by name.
     pub fn processor(&self, name: &ProcessorName) -> Option<&ProcessorSpec> {
         if self.index.len() == self.processors.len() {
@@ -400,6 +411,16 @@ mod tests {
         back.reindex();
         assert!(back.processor(&"Q".into()).is_some());
         assert_eq!(back.node_count(), 2);
+    }
+
+    #[test]
+    fn from_json_loads_and_rejects_garbage() {
+        let d = tiny();
+        let back = Dataflow::from_json(&serde_json::to_string(&d).unwrap()).unwrap();
+        assert_eq!(back.node_count(), 2);
+        assert!(back.processor(&"Q".into()).is_some());
+        let err = Dataflow::from_json("{not json").unwrap_err();
+        assert!(matches!(err, DataflowError::Json(_)), "{err:?}");
     }
 
     #[test]

@@ -110,7 +110,8 @@ pub struct QueryCtx {
     /// (ungrounded predictions are not drift-checked).
     pub rows_grounded: bool,
     /// Tolerance factor for the drift check (observed rows may exceed
-    /// `predicted / tolerance`... see `CostEstimate::check`).
+    /// `predicted / tolerance`... see `CostEstimate::check`). Defaults to
+    /// 10, the CLI's `--tolerance` default.
     pub tolerance: f64,
 }
 
@@ -128,7 +129,7 @@ impl QueryCtx {
             predicted_lookups: None,
             predicted_rows: None,
             rows_grounded: false,
-            tolerance: 1.0,
+            tolerance: 10.0,
         }
     }
 
@@ -160,18 +161,11 @@ impl QueryCtx {
     }
 
     /// Attaches a static cost prediction for the completion-time drift
-    /// check.
-    pub fn with_prediction(
-        mut self,
-        lookups: u64,
-        rows: u64,
-        grounded: bool,
-        tolerance: f64,
-    ) -> Self {
+    /// check (judged against [`QueryCtx::tolerance`]).
+    pub fn with_prediction(mut self, lookups: u64, rows: u64, grounded: bool) -> Self {
         self.predicted_lookups = Some(lookups);
         self.predicted_rows = Some(rows);
         self.rows_grounded = grounded;
-        self.tolerance = tolerance;
         self
     }
 

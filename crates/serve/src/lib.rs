@@ -30,13 +30,11 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 mod client;
-mod execute;
 pub mod protocol;
 mod server;
 pub mod signal;
 
 pub use client::{RemoteSink, ServeClient, DEFAULT_BATCH_EVENTS, DEFAULT_PIPELINE_DEPTH};
-pub use execute::{execute_query, ExecError};
 pub use server::{DrainReport, ProvServer, ServeConfig};
 
 /// Client-visible failure of a serve-protocol interaction.

@@ -44,12 +44,13 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use prov_core::service::{self, Request};
+use prov_core::CoreError;
 use prov_engine::{Clock, ClockSource, SystemClock, TraceSink};
 use prov_model::{ProcessorName, RunId};
 use prov_obs::{Counter, Gauge, JournalEvent, Obs, QueryCtx, TimeSource};
 use prov_store::SharedStore;
 
-use crate::execute::{execute_query, ExecError};
 use crate::protocol::{self as p, ServeErrorMsg};
 use crate::ServeError;
 
@@ -266,6 +267,10 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 fn admit(mut stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let limit = shared.cfg.max_connections as u64;
+    // The session's idle baseline is read before `active` counts it, so
+    // a clock advance by anyone who has seen the session counted is
+    // always charged as idle time.
+    let admitted_at = shared.cfg.clock.now_micros();
     loop {
         let active = shared.active.load(Ordering::SeqCst);
         if active >= limit {
@@ -295,7 +300,7 @@ fn admit(mut stream: TcpStream, shared: &Arc<Shared>) {
     let session_shared = Arc::clone(shared);
     let spawned = std::thread::Builder::new()
         .name("serve-session".into())
-        .spawn(move || session(stream, session_shared));
+        .spawn(move || session(stream, session_shared, admitted_at));
     if spawned.is_err() {
         // Could not spawn: give the slot back (the guard never existed).
         let left = shared.active.fetch_sub(1, Ordering::SeqCst).saturating_sub(1);
@@ -320,7 +325,9 @@ impl IngestPipe {
     }
 }
 
-fn session(mut stream: TcpStream, shared: Arc<Shared>) {
+/// Serves one connection; `admitted_at` (clock micros) is the idle
+/// baseline until the first request arrives.
+fn session(mut stream: TcpStream, shared: Arc<Shared>, admitted_at: u64) {
     let _guard = SessionGuard(Arc::clone(&shared));
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let writer = match stream.try_clone() {
@@ -335,7 +342,7 @@ fn session(mut stream: TcpStream, shared: Arc<Shared>) {
     }
     let clock = Arc::clone(&shared.cfg.clock);
     let mut pipes: HashMap<u64, IngestPipe> = HashMap::new();
-    let mut last_active = clock.now_micros();
+    let mut last_active = admitted_at;
     loop {
         if shared.draining.load(Ordering::SeqCst) {
             break;
@@ -503,15 +510,21 @@ fn handle_frame(
                 deadline_micros = clock.now_micros().saturating_add(ms.saturating_mul(1000));
                 ctx = ctx.with_clock_deadline(source, deadline_micros);
             }
-            match execute_query(&shared.store, &req, &shared.obs, &ctx) {
-                Ok(answers) => {
-                    let ok = p::ServeQueryOk { answers };
+            let trace = ctx.trace;
+            let answered =
+                Request::from_wire(&req.query, req.run, req.all_runs, &req.algo, req.wf.clone())
+                    .and_then(|request| {
+                        service::execute(&shared.store, &request, &shared.obs, ctx)
+                    });
+            match answered {
+                Ok(resp) => {
+                    let ok = p::ServeQueryOk { answers: resp.rendered() };
                     p::write_json(&mut *writer.lock(), p::TAG_QUERY_OK, &ok).is_ok()
                 }
-                Err(ExecError::Timeout { query }) => {
+                Err(CoreError::DeadlineExceeded { query }) => {
                     shared.metrics.request_timeouts.inc();
                     shared.obs.journal.record(JournalEvent::RequestTimeout {
-                        trace: ctx.trace,
+                        trace,
                         query: query.clone(),
                         deadline_micros,
                     });
@@ -522,8 +535,8 @@ fn handle_frame(
                     let _ = p::write_json(&mut *writer.lock(), p::TAG_ERR, &msg);
                     true
                 }
-                Err(ExecError::Failed(message)) => {
-                    let msg = ServeErrorMsg::new("query_failed", message);
+                Err(e) => {
+                    let msg = ServeErrorMsg::new("query_failed", e.to_string());
                     let _ = p::write_json(&mut *writer.lock(), p::TAG_ERR, &msg);
                     true
                 }

@@ -234,6 +234,19 @@ impl ReadView {
         self.run
     }
 
+    /// Cardinality statistics of one `(processor, port)` slice of the
+    /// chosen index in the pinned run (see `TraceStore::port_cardinality`).
+    pub fn port_cardinality(
+        &self,
+        id: crate::catalog::IndexId,
+        processor: &ProcessorName,
+        port: &str,
+    ) -> PortCardinality {
+        let p = self.symbols.lookup(processor.as_str());
+        let x = self.symbols.lookup(port);
+        self.shard.port_stats(id, self.run, p, x)
+    }
+
     /// Translates an API-boundary `(processor, port, index)` triple into
     /// interned probe keys. Unknown names map to `Sym::MISSING`, which
     /// probes the indexes and finds nothing — same answers, same stats, no

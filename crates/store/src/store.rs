@@ -880,13 +880,7 @@ impl TraceStore {
         processor: &ProcessorName,
         port: &str,
     ) -> PortCardinality {
-        let inner = self.inner.read();
-        let p = inner.symbols.lookup(processor.as_str());
-        let x = inner.symbols.lookup(port);
-        match inner.shards.get(&run) {
-            Some(shard) => shard.port_stats(id, run, p, x),
-            None => PortCardinality::default(),
-        }
+        self.pin(run).port_cardinality(id, processor, port)
     }
 
     /// All stored runs, in id order.

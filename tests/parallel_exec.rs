@@ -9,6 +9,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use prov_engine::ExecutionMode;
+use prov_obs::QueryCtx;
 use prov_workgen::testbed;
 use taverna_prov::prelude::*;
 
@@ -122,13 +123,13 @@ proptest! {
         let before = store.stats().snapshot();
         let seq_answers: Vec<_> = runs
             .iter()
-            .map(|&r| plan.execute_with(&store, r, &seq_obs).unwrap())
+            .map(|&r| plan.execute_pinned(&store.pin(r), &seq_obs).unwrap())
             .collect();
         let seq_work = store.stats().snapshot().since(before);
 
         let par_obs = Obs::enabled();
         let before = store.stats().snapshot();
-        let par_answers = plan.execute_multi_with(&store, &runs, &par_obs).unwrap();
+        let par_answers = plan.execute_multi_ctx(&store, &runs, &par_obs, &QueryCtx::new("multi")).unwrap();
         let par_work = store.stats().snapshot().since(before);
 
         prop_assert_eq!(seq_answers.len(), par_answers.len());
@@ -141,10 +142,10 @@ proptest! {
         // NI's traversal spans are fan-out-invariant the same way.
         let seq_ni = Obs::enabled();
         for &r in &runs {
-            NaiveLineage::new().run_with(&store, r, &query, &seq_ni).unwrap();
+            NaiveLineage::new().run_pinned(&store.pin(r), &query, &seq_ni).unwrap();
         }
         let par_ni = Obs::enabled();
-        NaiveLineage::new().run_multi_with(&store, &runs, &query, &par_ni).unwrap();
+        NaiveLineage::new().run_multi_ctx(&store, &runs, &query, &par_ni, &QueryCtx::new("multi")).unwrap();
         prop_assert_eq!(span_totals(&seq_ni.profiler), span_totals(&par_ni.profiler));
     }
 
@@ -162,7 +163,7 @@ proptest! {
         let obs = Obs::enabled();
         let plan = IndexProj::new(&df).plan_with(&query, &obs).unwrap();
         prop_assert!(plan.steps.len() >= 16, "plan too small to fan out: {}", plan.steps.len());
-        let answer = plan.execute_with(&store, run, &obs).unwrap();
+        let answer = plan.execute_pinned(&store.pin(run), &obs).unwrap();
 
         let totals = span_totals(&obs.profiler);
         let (step_count, step_rows) = totals["indexproj.step"];

@@ -16,8 +16,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use prov_core::service::{self, Request};
 use prov_engine::{Backoff, RetryPolicy};
-use prov_obs::{Journal, JournalEvent};
+use prov_obs::{Journal, JournalEvent, Obs, QueryCtx};
 use prov_repl::{
     query_replica, Follower, FollowerConfig, PrimaryConfig, QueryRequest, ReplError, ReplServer,
 };
@@ -25,30 +26,10 @@ use prov_store::FaultPlan;
 use prov_workgen::testbed;
 use taverna_prov::prelude::*;
 
+mod common;
+use common::TempDir;
+
 const CATCH_UP: Duration = Duration::from_secs(30);
-
-fn tmp(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("prov-repl-torture");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{tag}-{}.wal", std::process::id()));
-    cleanup(&path);
-    path
-}
-
-/// Removes a case's WAL plus every sibling artifact (snapshots, repl
-/// sidecar, journal) that hangs off its file name.
-fn cleanup(path: &PathBuf) {
-    let _ = std::fs::remove_file(path);
-    if let (Some(dir), Some(name)) = (path.parent(), path.file_name().and_then(|n| n.to_str())) {
-        if let Ok(entries) = std::fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                if entry.file_name().to_string_lossy().starts_with(&format!("{name}.")) {
-                    let _ = std::fs::remove_file(entry.path());
-                }
-            }
-        }
-    }
-}
 
 fn queries() -> Vec<LineageQuery> {
     [(0u32, 0u32), (0, 1), (1, 0), (1, 1)]
@@ -84,6 +65,7 @@ struct Primary {
     df: prov_dataflow::Dataflow,
     store: Arc<TraceStore>,
     path: PathBuf,
+    _dir: TempDir,
     runs: Vec<RunId>,
     ni: Vec<LineageAnswer>,
     ip: Vec<LineageAnswer>,
@@ -93,7 +75,8 @@ struct Primary {
 /// snapshot is taken after the first run, so the WAL leads with a marker
 /// (fresh followers must bootstrap) and still has live tail frames.
 fn primary(tag: &str, n_runs: usize, snapshot_mid: bool) -> Primary {
-    let path = tmp(tag);
+    let dir = TempDir::new(&format!("repl-{tag}"));
+    let path = dir.db();
     let store = TraceStore::open(&path).unwrap();
     let df = testbed::generate(3);
     store.register_workflow(&ProcessorName::from("testbed"), serde_json::to_string(&df).unwrap());
@@ -105,7 +88,7 @@ fn primary(tag: &str, n_runs: usize, snapshot_mid: bool) -> Primary {
     store.sync_wal().unwrap();
     store.durability().unwrap();
     let (ni, ip) = answers(&df, &store, &runs);
-    Primary { df, store: Arc::new(store), path, runs, ni, ip }
+    Primary { df, store: Arc::new(store), path, _dir: dir, runs, ni, ip }
 }
 
 fn fast_config(fault: Option<FaultPlan>) -> FollowerConfig {
@@ -119,7 +102,8 @@ fn fast_config(fault: Option<FaultPlan>) -> FollowerConfig {
 /// The oracle: a fresh follower under `fault` must heal (the fault hits
 /// only its first session), drain the primary, and answer identically.
 fn follower_case(p: &Primary, server: &ReplServer, tag: &str, fault: Option<FaultPlan>) {
-    let fdb = tmp(&format!("{tag}-f"));
+    let fdir = TempDir::new(&format!("repl-{tag}-f"));
+    let fdb = fdir.db();
     let journal = Journal::new(1 << 12);
     let follower = Follower::open(&fdb, journal).unwrap();
     let handle = follower.start(server.addr().to_string(), fast_config(fault));
@@ -140,9 +124,6 @@ fn follower_case(p: &Primary, server: &ReplServer, tag: &str, fault: Option<Faul
 
     follower.stop();
     let _ = handle.join();
-    drop(fstore);
-    drop(follower);
-    cleanup(&fdb);
 }
 
 #[test]
@@ -181,7 +162,6 @@ fn fixed_fault_offsets_heal_and_converge() {
         "primary journal never recorded a shipped chunk"
     );
     server.shutdown();
-    cleanup(&p.path);
 }
 
 #[test]
@@ -215,7 +195,6 @@ fn bootstrap_faults_mid_snapshot_heal() {
     }
     follower_case(&p, &server, "boot-clean", None);
     server.shutdown();
-    cleanup(&p.path);
 }
 
 #[test]
@@ -234,7 +213,8 @@ fn killed_followers_resume_from_their_durable_prefix() {
     for (i, threshold) in [total / 8, total / 4, total / 2, (total * 3) / 4].into_iter().enumerate()
     {
         let tag = format!("kill-{i}-{threshold}");
-        let fdb = tmp(&format!("{tag}-f"));
+        let fdir = TempDir::new(&format!("repl-{tag}-f"));
+        let fdb = fdir.db();
 
         // Phase 1: replicate until the local durable offset crosses the
         // threshold (or we're simply done), then kill the follower.
@@ -276,12 +256,8 @@ fn killed_followers_resume_from_their_durable_prefix() {
 
         follower.stop();
         let _ = handle.join();
-        drop(fstore);
-        drop(follower);
-        cleanup(&fdb);
     }
     server.shutdown();
-    cleanup(&p.path);
 }
 
 /// Polls until the follower's durable frame count equals the primary's
@@ -314,7 +290,8 @@ fn live_appends_checkpoints_and_snapshots_resync() {
     )
     .unwrap();
 
-    let fdb = tmp("live-f");
+    let fdir = TempDir::new("repl-live-f");
+    let fdb = fdir.db();
     let journal = Journal::new(1 << 12);
     let follower = Follower::open(&fdb, journal.clone()).unwrap();
     let handle = follower.start(server.addr().to_string(), fast_config(None));
@@ -363,8 +340,6 @@ fn live_appends_checkpoints_and_snapshots_resync() {
     drop(fstore);
     drop(follower);
     server.shutdown();
-    cleanup(&fdb);
-    cleanup(&p.path);
 }
 
 #[test]
@@ -377,7 +352,8 @@ fn replica_queries_render_identically_and_refuse_stale() {
         PrimaryConfig::default(),
     )
     .unwrap();
-    let fdb = tmp("query-f");
+    let fdir = TempDir::new("repl-query-f");
+    let fdb = fdir.db();
     let follower = Follower::open(&fdb, Journal::disabled()).unwrap();
     let handle = follower.start(server.addr().to_string(), fast_config(None));
     assert!(follower.wait_caught_up(CATCH_UP));
@@ -397,7 +373,18 @@ fn replica_queries_render_identically_and_refuse_stale() {
             max_lag_frames: Some(0),
         };
         let resp = query_replica(&qaddr, &req).unwrap();
-        let expected = prov_repl::execute_query(&p.store, &req).unwrap();
+        // The oracle: the shared query service on the primary's store.
+        let on_primary =
+            Request::from_wire(&req.query, req.run, req.all_runs, &req.algo, req.wf.clone())
+                .unwrap();
+        let expected = service::execute(
+            &p.store,
+            &on_primary,
+            &Obs::disabled(),
+            QueryCtx::new(req.query.clone()),
+        )
+        .unwrap()
+        .rendered();
         assert_eq!(resp.answers, expected, "{algo}: replica rendering diverged");
         assert_eq!(resp.lag_frames, 0);
     }
@@ -405,8 +392,8 @@ fn replica_queries_render_identically_and_refuse_stale() {
     // A follower that has never reached any primary has unknown lag: any
     // bounded query gets the typed staleness refusal, however generous
     // the bound; an unbounded one is answered from local state.
-    let lonely_db = tmp("query-lonely");
-    let lonely = Follower::open(&lonely_db, Journal::disabled()).unwrap();
+    let lonely_dir = TempDir::new("repl-query-lonely");
+    let lonely = Follower::open(lonely_dir.db(), Journal::disabled()).unwrap();
     let lonely_q = lonely.serve_queries("127.0.0.1:0").unwrap();
     let mut req = QueryRequest {
         query: "lin(<testbed:product[0,1]>, {LISTGEN_1})".into(),
@@ -434,9 +421,6 @@ fn replica_queries_render_identically_and_refuse_stale() {
     drop(follower);
     drop(lonely);
     server.shutdown();
-    cleanup(&fdb);
-    cleanup(&lonely_db);
-    cleanup(&p.path);
 }
 
 /// Splitmix64 — deterministic offsets for the seeded pass.
@@ -478,5 +462,4 @@ fn seeded_fault_offsets_heal_and_converge() {
         follower_case(&p, &server, &format!("seed-{case}"), Some(plan));
     }
     server.shutdown();
-    cleanup(&p.path);
 }

@@ -12,13 +12,8 @@ use prov_store::WalCursor;
 use prov_workgen::testbed;
 use taverna_prov::prelude::*;
 
-fn tmp(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("prov-repl-props");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{tag}-{}.wal", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    path
-}
+mod common;
+use common::TempDir;
 
 /// Reads every frame payload from a (marker-less) primary WAL.
 fn payloads(path: &std::path::Path) -> Vec<Vec<u8>> {
@@ -59,7 +54,8 @@ proptest! {
         n_runs in 1usize..=3,
         cut_pct in 0u32..=100,
     ) {
-        let path = tmp(&format!("prefix-{l}-{d}-{n_runs}"));
+        let dir = TempDir::new(&format!("repl-prefix-{l}-{d}-{n_runs}"));
+        let path = dir.db();
         let df = testbed::generate(l);
         let store = TraceStore::open(&path).unwrap();
         store.register_workflow(
@@ -120,8 +116,5 @@ proptest! {
                 prop_assert_eq!(&ni, &full_ni, "full prefix diverged from primary");
             }
         }
-
-        drop(store);
-        let _ = std::fs::remove_file(&path);
     }
 }

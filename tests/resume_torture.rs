@@ -12,12 +12,14 @@
 //! offset sweep and a randomized pass seeded from `CRASH_TORTURE_SEED`
 //! (printed, so failures replay).
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use prov_engine::{Backoff, RetryPolicy, VirtualClock};
 use prov_store::{CompactionPolicy, FaultPlan};
 use taverna_prov::prelude::*;
+
+mod common;
+use common::TempDir;
 
 const MAX_FRAMES: u64 = 4;
 
@@ -107,28 +109,6 @@ fn queries() -> Vec<LineageQuery> {
     qs
 }
 
-fn tmp(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("prov-resume-torture");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{tag}-{}.wal", std::process::id()));
-    cleanup(&path);
-    path
-}
-
-/// Removes a case's WAL and any snapshot generations beside it.
-fn cleanup(path: &PathBuf) {
-    let _ = std::fs::remove_file(path);
-    if let (Some(dir), Some(name)) = (path.parent(), path.file_name().and_then(|n| n.to_str())) {
-        if let Ok(entries) = std::fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                if entry.file_name().to_string_lossy().starts_with(&format!("{name}.snap.")) {
-                    let _ = std::fs::remove_file(entry.path());
-                }
-            }
-        }
-    }
-}
-
 /// The uninterrupted run every crashed case must be indistinguishable
 /// from: outcome, lineage answers (both algorithms), and the cumulative
 /// WAL bytes the workload writes (scales crash offsets).
@@ -143,7 +123,8 @@ struct Reference {
 
 fn reference() -> Reference {
     let df = workflow();
-    let path = tmp("reference");
+    let dir = TempDir::new("resume-reference");
+    let path = dir.db();
     let store = TraceStore::open(&path).unwrap();
     store.set_compaction_policy(Some(CompactionPolicy::frames(MAX_FRAMES)));
     let outcome = engine().execute(&df, inputs(), &store).unwrap();
@@ -155,8 +136,6 @@ fn reference() -> Reference {
     let (ni, ip) = answers(&df, &store, outcome.run_id);
     let wal_bytes = store.wal_metrics().bytes_written.get();
     let records = store.trace_record_count(outcome.run_id);
-    drop(store);
-    cleanup(&path);
     Reference { df, outcome, ni, ip, wal_bytes, records }
 }
 
@@ -175,7 +154,8 @@ fn answers(
 /// The oracle: run under a fault plan, "crash" (drop the store), reopen,
 /// resume, and compare everything against the uninterrupted reference.
 fn torture_case(reference: &Reference, tag: &str, plan: FaultPlan) {
-    let path = tmp(tag);
+    let dir = TempDir::new(tag);
+    let path = dir.db();
 
     // Crashed attempt. The engine itself always finishes (durability
     // failures poison the store, they don't abort execution) — the crash
@@ -227,9 +207,6 @@ fn torture_case(reference: &Reference, tag: &str, plan: FaultPlan) {
 
     // And the resumed trace is internally consistent.
     assert!(prov_core::audit_run(&reference.df, &store, outcome.run_id).unwrap().is_clean());
-
-    drop(store);
-    cleanup(&path);
 }
 
 #[test]

@@ -22,26 +22,8 @@ use prov_store::SharedStore;
 use prov_workgen::testbed;
 use taverna_prov::prelude::*;
 
-fn tmp(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("prov-serve-props");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{tag}-{}.wal", std::process::id()));
-    cleanup(&path);
-    path
-}
-
-fn cleanup(path: &std::path::PathBuf) {
-    let _ = std::fs::remove_file(path);
-    if let (Some(dir), Some(name)) = (path.parent(), path.file_name().and_then(|n| n.to_str())) {
-        if let Ok(entries) = std::fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                if entry.file_name().to_string_lossy().starts_with(&format!("{name}.")) {
-                    let _ = std::fs::remove_file(entry.path());
-                }
-            }
-        }
-    }
-}
+mod common;
+use common::TempDir;
 
 fn point_queries(l: usize) -> Vec<LineageQuery> {
     let top = (l - 1) as u32;
@@ -92,7 +74,8 @@ proptest! {
         oracle_sigs.sort();
 
         // The same K runs, raced through one daemon.
-        let path = tmp(&format!("cseq-{l}-{k}"));
+        let dir = TempDir::new(&format!("serve-cseq-{l}-{k}"));
+        let path = dir.db();
         let store = SharedStore::open(&path).unwrap();
         let server =
             ProvServer::start(store, Obs::disabled(), ServeConfig::default(), "127.0.0.1:0")
@@ -122,7 +105,6 @@ proptest! {
             infos.iter().map(|i| run_signature(&reopened, i.id, l)).collect();
         sigs.sort();
         prop_assert_eq!(sigs, oracle_sigs, "concurrent ingest diverged from sequential");
-        cleanup(&path);
     }
 
     /// A reader pinning [`prov_store::ReadView`]s while a client streams
@@ -134,7 +116,8 @@ proptest! {
     ) {
         let df = testbed::generate(l);
         let wf_json = serde_json::to_string(&df).unwrap();
-        let path = tmp(&format!("view-{l}-{batch}"));
+        let dir = TempDir::new(&format!("serve-view-{l}-{batch}"));
+        let path = dir.db();
         let shared = SharedStore::open(&path).unwrap();
         let server = ProvServer::start(
             shared.clone(),
@@ -177,6 +160,5 @@ proptest! {
                  finished total {total})"
             );
         }
-        cleanup(&path);
     }
 }

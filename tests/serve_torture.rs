@@ -27,28 +27,8 @@ use prov_store::{FaultPlan, FaultReader, SharedStore};
 use prov_workgen::testbed;
 use taverna_prov::prelude::*;
 
-fn tmp(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("prov-serve-torture");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{tag}-{}.wal", std::process::id()));
-    cleanup(&path);
-    path
-}
-
-/// Removes a case's WAL plus every sibling artifact (snapshots, serve
-/// sidecars, journal) that hangs off its file name.
-fn cleanup(path: &PathBuf) {
-    let _ = std::fs::remove_file(path);
-    if let (Some(dir), Some(name)) = (path.parent(), path.file_name().and_then(|n| n.to_str())) {
-        if let Ok(entries) = std::fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                if entry.file_name().to_string_lossy().starts_with(&format!("{name}.")) {
-                    let _ = std::fs::remove_file(entry.path());
-                }
-            }
-        }
-    }
-}
+mod common;
+use common::TempDir;
 
 fn queries() -> Vec<LineageQuery> {
     [(0u32, 0u32), (0, 1), (1, 0), (1, 1)]
@@ -85,10 +65,12 @@ struct Daemon {
     path: PathBuf,
     registry: Registry,
     server: Option<ProvServer>,
+    _dir: TempDir,
 }
 
 fn daemon(tag: &str, cfg: ServeConfig) -> Daemon {
-    let path = tmp(tag);
+    let dir = TempDir::new(&format!("serve-{tag}"));
+    let path = dir.db();
     let store = SharedStore::open(&path).unwrap();
     let obs = Obs {
         metrics: Registry::new(),
@@ -97,7 +79,7 @@ fn daemon(tag: &str, cfg: ServeConfig) -> Daemon {
     };
     let registry = obs.metrics.clone();
     let server = ProvServer::start(store, obs, cfg, "127.0.0.1:0").unwrap();
-    Daemon { path, registry, server: Some(server) }
+    Daemon { path, registry, server: Some(server), _dir: dir }
 }
 
 impl Daemon {
@@ -279,7 +261,8 @@ fn concurrent_load_with_mid_frame_kills_converges_and_drains_clean() {
     let wf_json = serde_json::to_string(&df).unwrap();
 
     // Oracle: the same workload ingested sequentially into a local store.
-    let opath = tmp("fixed-oracle");
+    let odir = TempDir::new("serve-fixed-oracle");
+    let opath = odir.db();
     let oracle = TraceStore::open(&opath).unwrap();
     oracle.register_workflow(&ProcessorName::from("testbed"), wf_json.clone());
     let oruns: Vec<RunId> = (0..WRITERS).map(|_| testbed::run(&df, 3, &oracle).run_id).collect();
@@ -354,9 +337,6 @@ fn concurrent_load_with_mid_frame_kills_converges_and_drains_clean() {
     let snap = d.registry.snapshot();
     assert!(snap.counter("serve.conns_accepted") >= WRITERS as u64);
     assert!(snap.counter("serve.ingest_batches") >= WRITERS as u64);
-
-    cleanup(&d.path);
-    cleanup(&opath);
 }
 
 #[test]
@@ -393,7 +373,6 @@ fn admission_and_deadline_refusals_are_typed() {
     assert!(snap.counter("serve.request_timeouts") >= 1, "timeout not counted");
 
     d.shutdown();
-    cleanup(&d.path);
 }
 
 #[test]
@@ -437,7 +416,6 @@ fn drain_mid_load_keeps_every_acked_batch_durable() {
     // Acked ⇒ durable, and whatever finished answers NI ≡ INDEXPROJ.
     let (_store, runs) = check_reopened(&d.path, &df, records_per_run(&df));
     assert!(!runs.is_empty(), "no finished run survived the drain");
-    cleanup(&d.path);
 }
 
 /// Splitmix64 — deterministic offsets for the seeded pass.
@@ -483,5 +461,4 @@ fn seeded_cut_streams_never_corrupt_the_daemon() {
     assert!(!report.forced);
     let (_store, runs) = check_reopened(&d.path, &df, records_per_run(&df));
     assert!(!runs.is_empty(), "the clean run did not survive");
-    cleanup(&d.path);
 }
