@@ -1,6 +1,6 @@
 //! **Store hot path** — before/after measurement of the trace-store
 //! overhaul: symbol interning + packed index keys, batched ingest with WAL
-//! group-commit, and parallel plan execution.
+//! group-commit, and multi-run plan execution.
 //!
 //! The *before* side is an in-binary replica of the seed store's layout —
 //! `BTreeMap` secondary indexes keyed by `(run, ProcessorName, Arc<str>,
@@ -13,8 +13,9 @@
 //! flush per batch, and span-served run scans.
 //!
 //! Output: a table on stdout plus `BENCH_store_hotpath.json` at the
-//! workspace root with throughputs, latencies and speedup ratios.
-//! `--quick` shrinks the workload for CI smoke runs.
+//! workspace root with throughputs, latencies and speedup ratios, tagged
+//! with the machine's core count, the git commit and the mode. `--quick`
+//! shrinks the workload for CI smoke runs.
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
@@ -410,24 +411,13 @@ struct QueryReport {
     plan_cache_misses: u64,
 }
 
-/// One cell of the multi-run scaling matrix: the shared plan executed
-/// over `runs` runs with the query worker pool pinned to `threads`.
-#[derive(Serialize)]
-struct ScalePoint {
-    runs: usize,
-    threads: usize,
-    parallel_ms: f64,
-    /// Relative to the same workload on a single worker (fully inline).
-    speedup: f64,
-}
-
+/// The shared plan executed over the whole run set by one
+/// `execute_multi` call (§3.4: one plan, one probe pass per run).
 #[derive(Serialize)]
 struct MultiRunReport {
     runs: usize,
-    sequential_ms: f64,
-    parallel_ms: f64,
-    speedup: f64,
-    scaling: Vec<ScalePoint>,
+    steps_per_run: usize,
+    execute_multi_ms: f64,
 }
 
 #[derive(Serialize)]
@@ -443,7 +433,13 @@ struct ReportMetrics {
 
 #[derive(Serialize)]
 struct Report {
-    quick: bool,
+    /// `"quick"` or `"full"`.
+    mode: &'static str,
+    /// Cores available to this process.
+    nproc: usize,
+    /// The measured tree's commit (`-dirty` with uncommitted changes), or
+    /// `"unknown"`.
+    commit: String,
     l: usize,
     d: usize,
     reps: usize,
@@ -459,6 +455,22 @@ fn workspace_root() -> PathBuf {
     std::env::var("CARGO_MANIFEST_DIR")
         .map(|m| PathBuf::from(m).join("../.."))
         .unwrap_or_else(|_| PathBuf::from("."))
+}
+
+/// The checked-out commit (suffixed `-dirty` when the tree has uncommitted
+/// changes), or `"unknown"` outside a git checkout.
+fn git_commit() -> String {
+    std::process::Command::new("git")
+        .arg("-C")
+        .arg(workspace_root())
+        .args(["describe", "--always", "--dirty", "--abbrev=40", "--exclude=*"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn main() {
@@ -647,61 +659,15 @@ fn main() {
     let cache_stats = cache.stats();
     let (cache_hits, cache_misses) = (cache_stats.hits, cache_stats.misses);
 
-    // ---- Multi-run: shared plan, sequential vs fanned-out (§3.4). ----
-    // The unfocused query gives the plan one step per spec-graph port, so
-    // each run carries enough lookups for fan-out to amortise its threads.
+    // ---- Multi-run: one shared plan over the run set (§3.4). --------
+    // The unfocused query gives the plan one step per spec-graph port.
     let multi_store = TraceStore::in_memory();
     let runs: Vec<RunId> = (0..n_runs).map(|_| testbed::run(&df, d, &multi_store).run_id).collect();
     let multi_query = testbed::unfocused_query(&df, &[d as u32 / 2, d as u32 / 2]);
     let plan = IndexProj::new(&df).plan(&multi_query).expect("plan");
-    let t_seq = best_of(reps, || {
-        for &r in &runs {
-            plan.execute(&multi_store, r).expect("seq execute");
-        }
+    let t_multi = best_of(reps, || {
+        plan.execute_multi(&multi_store, &runs).expect("multi-run execute");
     });
-    let t_par = best_of(reps, || {
-        plan.execute_multi(&multi_store, &runs).expect("par execute");
-    });
-
-    // ---- Multi-run scaling matrix: runs × worker threads. ------------
-    // The store is ingested once with the largest run count; each cell
-    // re-executes the shared plan over the first `rc` runs with the
-    // worker pool pinned to `t` threads via `set_query_threads`. The
-    // per-run-count baseline is the same workload on a single worker
-    // (fully inline), so speedups isolate what the thread pool buys on
-    // this machine. Every execution pins per-run snapshots, so the
-    // matrix exercises the lock-free read path at every pool size.
-    let default_workers = prov_core::query_workers();
-    let run_counts: &[usize] = if quick { &[1, 4, 8] } else { &[1, 8, 32, 128] };
-    let max_runs = *run_counts.last().expect("run counts");
-    let mut all_runs = runs.clone();
-    while all_runs.len() < max_runs {
-        all_runs.push(testbed::run(&df, d, &multi_store).run_id);
-    }
-    let mut thread_counts = vec![1usize, 2, 4, default_workers];
-    thread_counts.sort_unstable();
-    thread_counts.dedup();
-    let mut scaling = Vec::new();
-    for &rc in run_counts {
-        let subset = &all_runs[..rc];
-        prov_core::set_query_threads(Some(1));
-        let t_base = best_of(reps, || {
-            plan.execute_multi(&multi_store, subset).expect("baseline execute");
-        });
-        for &t in &thread_counts {
-            prov_core::set_query_threads(Some(t));
-            let t_cell = best_of(reps, || {
-                plan.execute_multi(&multi_store, subset).expect("scaled execute");
-            });
-            scaling.push(ScalePoint {
-                runs: rc,
-                threads: t,
-                parallel_ms: ms(t_cell),
-                speedup: t_base.as_secs_f64() / t_cell.as_secs_f64().max(1e-12),
-            });
-        }
-    }
-    prov_core::set_query_threads(None);
 
     // ---- Metrics block: machine-independent work accounting. ---------
     let query_metrics = prov_bench::snapshot_store_metrics(&store);
@@ -721,7 +687,9 @@ fn main() {
 
     // ---- Report. -----------------------------------------------------
     let report = Report {
-        quick,
+        mode: if quick { "quick" } else { "full" },
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        commit: git_commit(),
         l,
         d,
         reps,
@@ -765,10 +733,8 @@ fn main() {
         },
         multi_run: MultiRunReport {
             runs: runs.len(),
-            sequential_ms: ms(t_seq),
-            parallel_ms: ms(t_par),
-            speedup: t_seq.as_secs_f64() / t_par.as_secs_f64().max(1e-12),
-            scaling,
+            steps_per_run: plan.steps.len(),
+            execute_multi_ms: ms(t_multi),
         },
         metrics: ReportMetrics { query_store: query_metrics, durable_ingest: wal_metrics },
     };
@@ -809,25 +775,16 @@ fn main() {
         cell(format!("{:.3}", report.journal.on_point_us)),
         cell(format!("{:.3}x overhead", report.journal.overhead_ratio)),
     ]);
-    table.row(vec![
-        cell("multi-run"),
-        cell(format!("{} runs (ms)", runs.len())),
-        cell_ms(t_seq),
-        cell_ms(t_par),
-        cell(format!("{:.2}x", report.multi_run.speedup)),
-    ]);
     table.print();
-    let mut scale_table = Table::new(&["runs", "threads", "parallel (ms)", "speedup vs 1 thread"]);
-    for p in &report.multi_run.scaling {
-        scale_table.row(vec![
-            cell(p.runs.to_string()),
-            cell(p.threads.to_string()),
-            cell(format!("{:.3}", p.parallel_ms)),
-            cell(format!("{:.2}x", p.speedup)),
-        ]);
-    }
-    println!("\nmulti-run scaling ({} worker threads by default):", default_workers);
-    scale_table.print();
+    println!(
+        "\nmulti-run: execute_multi over {} runs x {} steps: {:.3} ms ({} mode, {} cores, commit {})",
+        report.multi_run.runs,
+        report.multi_run.steps_per_run,
+        report.multi_run.execute_multi_ms,
+        report.mode,
+        report.nproc,
+        report.commit
+    );
     println!(
         "\nfig9 query: ni {:.3} ms, indexproj cold {:.3} ms, warm {:.3} ms (cache {}h/{}m)",
         report.fig9_query.ni_ms,

@@ -808,7 +808,7 @@ fn query_ctx(args: &Args, raw: &str) -> Result<QueryCtx, String> {
 ///
 /// Every execution runs under a [`QueryCtx`]: the store's WAL/snapshot
 /// hooks and the query layer journal typed events (trace-id-stamped, so
-/// per-query attribution survives `TPROV_QUERY_THREADS` fan-out), and on
+/// per-query attribution survives concurrent daemon sessions), and on
 /// exit the ring is drained into `<db>.journal.jsonl` /
 /// `<db>.slow.jsonl` for `tprov tail` / `tprov slow`. With INDEXPROJ the
 /// cost model's prediction is attached up front, so a finished query
@@ -846,10 +846,6 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
     let store = open_db(args)?;
     let registry = Registry::new();
     store.register_metrics(&registry);
-    // The query worker pool size in effect (TPROV_QUERY_THREADS else the
-    // hardware default) — so operators can see what fan-out a deployment
-    // actually runs with.
-    registry.set_gauge("query.workers", prov_core::query_workers() as u64);
     // When this database is a replica, `tprov replicate follow` maintains
     // a `<db>.repl.json` sidecar (written atomically on every status
     // change); surface its lag as gauges so one `metrics` call covers

@@ -1,8 +1,13 @@
 //! End-to-end tests of the `tprov` binary: each test drives real
 //! subcommands against a temporary durable database.
 
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+
 use std::path::PathBuf;
 use std::process::{Command, Output};
+
+use common::TempDir;
 
 fn tprov(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tprov")).args(args).output().expect("tprov runs")
@@ -41,17 +46,18 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
+/// A database path in its own [`TempDir`]: every sidecar hangs off the db
+/// file name (`<db>.<suffix>`), so dropping the directory removes the WAL,
+/// workflow specs, journal/slow logs, snapshots and replication state.
 struct TempDb {
     path: PathBuf,
+    _dir: TempDir,
 }
 
 impl TempDb {
     fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join("tprov-cli-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{tag}-{}.wal", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        TempDb { path }
+        let dir = TempDir::new(&format!("cli-{tag}"));
+        TempDb { path: dir.db(), _dir: dir }
     }
 
     fn arg(&self) -> &str {
@@ -60,25 +66,6 @@ impl TempDb {
 
     fn sidecar(&self, workflow: &str) -> String {
         format!("{}.{workflow}.json", self.arg())
-    }
-}
-
-impl Drop for TempDb {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-        // Every sidecar hangs off the db file name (`<db>.<suffix>`):
-        // workflow specs, journal/slow logs, snapshots, replication state.
-        if let (Some(dir), Some(name)) =
-            (self.path.parent(), self.path.file_name().and_then(|n| n.to_str()))
-        {
-            if let Ok(entries) = std::fs::read_dir(dir) {
-                for entry in entries.flatten() {
-                    if entry.file_name().to_string_lossy().starts_with(&format!("{name}.")) {
-                        let _ = std::fs::remove_file(entry.path());
-                    }
-                }
-            }
-        }
     }
 }
 

@@ -75,12 +75,10 @@ pub struct LineagePlan {
 }
 
 impl LineagePlan {
-    /// One step's resolved bindings — independent of every other step, so
-    /// steps can execute in any order or concurrently. Reads only the
-    /// pinned view: no store lock is touched. Probe work accumulates into
-    /// `probe` (the caller owns the flush into the shared counters), so
-    /// each step's exact cost is attributable even when steps run
-    /// concurrently on worker threads.
+    /// One step's resolved bindings. Reads only the pinned view: no store
+    /// lock is touched. Probe work accumulates into `probe` (the caller
+    /// owns the flush into the shared counters), so each step's exact cost
+    /// is attributable.
     fn step_bindings(
         view: &ReadView,
         step: &PlanStep,
@@ -98,12 +96,9 @@ impl LineagePlan {
     }
 
     /// Executes the plan against one run (phase *s2*): one indexed trace
-    /// query per step. Large plans fan their (mutually independent) steps
-    /// out across scoped threads; results are recombined in step order, so
-    /// the answer — and which error surfaces, if any — is identical to the
-    /// sequential loop's. The run's trace is pinned once
-    /// ([`TraceStore::pin`], one brief read lock); every step then probes
-    /// the immutable snapshot lock-free.
+    /// query per step, in step order on the calling thread. The run's
+    /// trace is pinned once ([`TraceStore::pin`], one brief read lock);
+    /// every step then probes the immutable snapshot lock-free.
     pub fn execute(&self, store: &TraceStore, run: RunId) -> Result<LineageAnswer> {
         self.execute_pinned(&store.pin(run), &Obs::disabled())
     }
@@ -117,33 +112,32 @@ impl LineagePlan {
     /// `t2` account, and answer assembly records an `indexproj.assemble`
     /// span charging `t1`.
     pub fn execute_pinned(&self, view: &ReadView, obs: &Obs) -> Result<LineageAnswer> {
-        self.execute_view(view, obs, self.steps.len() >= crate::par::STEP_FANOUT_MIN, None)
+        self.execute_view(view, obs, None)
     }
 
     /// Each step counts its probe work into a step-local [`ProbeStats`]
     /// (flushed into the shared counters exactly once, on drop — early
     /// returns and panics included), so span arguments and `PlanStep`
-    /// journal events carry the step's *exact* cost even when steps fan
-    /// out across worker threads under `TPROV_QUERY_THREADS`.
+    /// journal events carry the step's *exact* cost. The first failing
+    /// step's error is returned.
     fn execute_view(
         &self,
         view: &ReadView,
         obs: &Obs,
-        fan_steps: bool,
         ctx: Option<&QueryCtx>,
     ) -> Result<LineageAnswer> {
         use std::time::Instant;
-        let profiling = obs.profiler.is_enabled();
-        let observing = profiling || ctx.is_some();
+        let observing = obs.profiler.is_enabled() || ctx.is_some();
         let started = Instant::now();
         let run_u64 = view.run().0;
         if let Some(c) = ctx {
             obs.journal
                 .record(JournalEvent::QueryStarted { trace: c.trace, query: c.query.clone() });
         }
-        // (bindings, step-local probe counters, step duration).
-        type StepOut = (Vec<Binding>, ProbeStats, u64);
-        let timed_step = |&(idx, step): &(usize, &PlanStep)| -> Result<StepOut> {
+        let mut bindings: Vec<Binding> = Vec::new();
+        let mut totals = ProbeStats::new();
+        let mut t2_ns = 0u64;
+        for (idx, step) in self.steps.iter().enumerate() {
             if let Some(c) = ctx {
                 if c.deadline_exceeded() {
                     return Err(CoreError::DeadlineExceeded { query: c.query.clone() });
@@ -151,19 +145,18 @@ impl LineagePlan {
             }
             if !observing {
                 let mut guard = view.probe_guard();
-                let out = Self::step_bindings(view, step, &mut guard)?;
-                return Ok((out, ProbeStats::new(), 0));
+                bindings.extend(Self::step_bindings(view, step, &mut guard)?);
+                continue;
             }
             let before = Instant::now();
             let mut span = obs.span("indexproj.step", "t2");
-            let local = {
+            let (out, local) = {
                 let mut guard = view.probe_guard();
                 let out = Self::step_bindings(view, step, &mut guard);
                 (out, guard.so_far())
                 // guard drops here: the step's counters reach the shared
                 // totals even when `out` is an error.
             };
-            let (out, local) = local;
             let dur_ns = before.elapsed().as_nanos() as u64;
             span.arg("index_lookups", local.index_lookups);
             span.arg("records_read", local.records_read);
@@ -172,6 +165,7 @@ impl LineagePlan {
             if out.is_ok() {
                 span.arg("rows", rows);
             }
+            span.stop();
             if let Some(c) = ctx {
                 obs.journal.record(JournalEvent::PlanStep {
                     trace: c.trace,
@@ -184,27 +178,16 @@ impl LineagePlan {
                     dur_ns,
                 });
             }
-            out.map(|b| (b, local, dur_ns))
-        };
-        let indexed: Vec<(usize, &PlanStep)> = self.steps.iter().enumerate().collect();
-        let per_step: Vec<Result<StepOut>> = if fan_steps {
-            crate::par::parallel_map(&indexed, timed_step)
-        } else {
-            indexed.iter().map(timed_step).collect()
-        };
-        let mut assemble = obs.span("indexproj.assemble", "t1");
-        let mut bindings: Vec<Binding> = Vec::new();
-        let mut totals = ProbeStats::new();
-        let mut t2_ns = 0u64;
-        for step_result in per_step {
-            let (step_bindings, local, dur_ns) = step_result?;
             totals.index_lookups += local.index_lookups;
             totals.records_read += local.records_read;
             totals.rows_scanned += local.rows_scanned;
             t2_ns += dur_ns;
-            bindings.extend(step_bindings);
+            bindings.extend(out?);
         }
-        assemble.arg("bindings", bindings.len() as u64);
+        let n_bindings = bindings.len() as u64;
+        let mut assemble = obs.span("indexproj.assemble", "t1");
+        assemble.arg("bindings", n_bindings);
+        let answer = LineageAnswer::new(view.run(), bindings, self.steps.len(), self.nodes_visited);
         assemble.stop();
         if let Some(c) = ctx {
             let dur = started.elapsed();
@@ -227,9 +210,9 @@ impl LineagePlan {
                 run: run_u64,
                 fingerprint: c.fingerprint,
                 steps: self.steps.len() as u32,
-                bindings: bindings.len() as u64,
-                // Under fan-out t2 sums worker time, which can exceed the
-                // wall clock; t1 is the remainder when there is one.
+                bindings: n_bindings,
+                // Steps run back to back inside `dur`, so t2 never exceeds
+                // it and t1 is the exact remainder.
                 t1_ns: dur_ns.saturating_sub(t2_ns),
                 t2_ns,
                 dur_ns,
@@ -242,14 +225,15 @@ impl LineagePlan {
                 slow: c.is_slow(dur),
             });
         }
-        Ok(LineageAnswer::new(view.run(), bindings, self.steps.len(), self.nodes_visited))
+        Ok(answer)
     }
 
     /// Executes the plan against several runs, sharing the (already paid)
-    /// planning phase — the multi-run scenario of §3.4 and Fig. 4. Enough
-    /// runs are executed concurrently, one plan shared by all workers;
-    /// answers come back in run order and any error is reported for the
-    /// lowest failing run index, exactly as sequentially.
+    /// planning phase — the multi-run scenario of §3.4 and Fig. 4: one
+    /// plan plus one probe pass per run, so the cost grows linearly with
+    /// the number of runs. Runs execute in order on the calling thread;
+    /// answers come back in run order and the first failing run's error is
+    /// returned.
     pub fn execute_multi(&self, store: &TraceStore, runs: &[RunId]) -> Result<Vec<LineageAnswer>> {
         self.execute_multi_inner(store, runs, &Obs::disabled(), None)
     }
@@ -262,14 +246,8 @@ impl LineagePlan {
     /// multi-run sweep reassembles into per-run totals from the journal
     /// alone.
     ///
-    /// The `Obs` handle is shared by every worker thread; spans land on
-    /// one timeline with per-worker `tid`s, so aggregated totals equal the
-    /// sequential run's. Each worker pins its run's snapshot up front and
-    /// runs the plan's steps *sequentially* against it: with one worker
-    /// per run there is nothing left to gain from nested step fan-out, and
-    /// suppressing it keeps the thread count bounded by the pool size
-    /// instead of its square. After the pin, a worker acquires **zero**
-    /// locks.
+    /// Each run pins its own snapshot up front and probes it without
+    /// acquiring any further lock.
     pub fn execute_multi_ctx(
         &self,
         store: &TraceStore,
@@ -287,16 +265,7 @@ impl LineagePlan {
         obs: &Obs,
         ctx: Option<&QueryCtx>,
     ) -> Result<Vec<LineageAnswer>> {
-        if runs.len() >= crate::par::RUN_FANOUT_MIN {
-            crate::par::parallel_map(runs, |&r| self.execute_view(&store.pin(r), obs, false, ctx))
-                .into_iter()
-                .collect()
-        } else {
-            // Few runs: keep the per-run step fan-out decision of the
-            // single-run path.
-            let fan = self.steps.len() >= crate::par::STEP_FANOUT_MIN;
-            runs.iter().map(|&r| self.execute_view(&store.pin(r), obs, fan, ctx)).collect()
-        }
+        runs.iter().map(|&r| self.execute_view(&store.pin(r), obs, ctx)).collect()
     }
 }
 

@@ -39,7 +39,6 @@ mod error;
 mod impact;
 mod indexproj;
 mod naive;
-mod par;
 mod parse;
 mod plan_cache;
 mod query;
@@ -54,7 +53,6 @@ pub use error::CoreError;
 pub use impact::{ImpactQuery, NaiveImpact};
 pub use indexproj::{IndexProj, LineagePlan, PlanStep, StepKind};
 pub use naive::NaiveLineage;
-pub use par::{query_workers, set_query_threads, MAX_QUERY_THREADS};
 pub use parse::{parse_lineage, parse_query, ParseError, ParsedQuery};
 pub use plan_cache::{PlanCache, PlanCacheStats};
 pub use query::{FocusSet, LineageQuery};

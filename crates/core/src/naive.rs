@@ -217,9 +217,9 @@ impl NaiveLineage {
 
     /// Answers `query` over several runs. NI shares nothing between runs:
     /// each run costs one full provenance-graph traversal (the behaviour
-    /// Fig. 4 contrasts with INDEXPROJ's shared phase s1). The traversals
-    /// are independent, so enough runs are fanned out across threads;
-    /// answers come back in run order.
+    /// Fig. 4 contrasts with INDEXPROJ's shared phase s1). Runs are
+    /// traversed in order on the calling thread; answers come back in run
+    /// order.
     pub fn run_multi(
         &self,
         store: &TraceStore,
@@ -234,9 +234,8 @@ impl NaiveLineage {
     /// one `QueryFinished` per run with exact totals — per-hop events
     /// would swamp the ring on deep graphs), the deadline is enforced
     /// between hops, and every run's `QueryStarted`/`QueryFinished` pair
-    /// shares the trace id, so per-query totals reassemble even when runs
-    /// fan out across threads. The shared `Obs` collects every worker's
-    /// spans on one timeline.
+    /// shares the trace id, so per-query totals reassemble from the
+    /// journal alone.
     pub fn run_multi_ctx(
         &self,
         store: &TraceStore,
@@ -248,8 +247,7 @@ impl NaiveLineage {
         self.run_multi_inner(store, runs, query, obs, Some(ctx))
     }
 
-    /// Each worker pins its run's snapshot once and traverses it
-    /// lock-free.
+    /// Each run's snapshot is pinned once and traversed lock-free.
     fn run_multi_inner(
         &self,
         store: &TraceStore,
@@ -258,12 +256,7 @@ impl NaiveLineage {
         obs: &Obs,
         ctx: Option<&QueryCtx>,
     ) -> Result<Vec<LineageAnswer>> {
-        let one = |&r: &RunId| self.run_pinned_inner(&store.pin(r), query, obs, ctx);
-        if runs.len() >= crate::par::RUN_FANOUT_MIN {
-            crate::par::parallel_map(runs, one).into_iter().collect()
-        } else {
-            runs.iter().map(one).collect()
-        }
+        runs.iter().map(|&r| self.run_pinned_inner(&store.pin(r), query, obs, ctx)).collect()
     }
 }
 

@@ -48,9 +48,8 @@ pub const SLOW_QUERY_ENV: &str = "TPROV_SLOW_QUERY_MS";
 /// this many writer threads never share a head counter or slot mutex.
 const SHARDS: usize = 16;
 
-/// An identifier shared by every journal event of one logical query,
-/// including events emitted from worker threads under
-/// `TPROV_QUERY_THREADS` fan-out.
+/// An identifier shared by every journal event of one logical query, so a
+/// query's events stay separable from those of concurrent queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct TraceId(pub u64);
 
@@ -201,8 +200,8 @@ pub enum JournalEvent {
         query: String,
     },
     /// One plan step (or traversal slice) finished, with the exact probe
-    /// counters it incurred — attribution stays per-query even when
-    /// steps fan out across worker threads.
+    /// counters it incurred — attribution stays per-query even while
+    /// other queries probe the same store concurrently.
     PlanStep {
         /// Trace id of the owning query.
         trace: TraceId,

@@ -12,8 +12,8 @@
 //! (plus the shared symbol/value tables) **once**, under one brief read
 //! lock, and every probe afterwards runs on plain owned data — zero lock
 //! acquisitions for the remainder of plan execution. This is what lets
-//! multi-run lineage fan out across cores without serialising on the
-//! store's `RwLock` (the contention wall the pre-shard layout hit).
+//! concurrent queries (one daemon session each) run without serialising
+//! on the store's `RwLock` (the contention wall the pre-shard layout hit).
 //!
 //! Stats discipline: each `ReadView` method counts its index/record work
 //! into a stack-local [`ProbeStats`] and flushes the totals into the shared
@@ -22,7 +22,7 @@
 //! still account the work already done. The `*_stats` probe variants
 //! instead count into a **caller-owned** accumulator (and flush nothing):
 //! the query layer uses them to attribute exact per-step costs to
-//! individual queries even when plan steps fan out across worker threads.
+//! individual queries even while other queries probe the same store.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};

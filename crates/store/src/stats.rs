@@ -29,7 +29,7 @@ pub struct QueryStats {
 /// Thread-local accumulator for one query's store-access work.
 ///
 /// The shared [`QueryStats`] counters are relaxed atomics; bumping them on
-/// every index probe from several query workers means repeated RMWs on the
+/// every index probe from several concurrent queries means repeated RMWs on the
 /// same cache lines. Probe paths instead count into a plain-`u64`
 /// `ProbeStats` on the stack and [`flush_into`](ProbeStats::flush_into) the
 /// totals exactly once per store call — same final counter values (addition

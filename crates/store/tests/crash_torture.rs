@@ -11,6 +11,10 @@
 //! * a randomized pass seeded from `CRASH_TORTURE_SEED` (decimal u64; a
 //!   fixed default when unset), which CI runs once with a random seed.
 
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+
+use common::TempDir;
 use proptest::prelude::*;
 
 use prov_engine::{PortBinding, TraceEvent, TraceSink, XformEvent};
@@ -25,14 +29,6 @@ fn ev(n: u32) -> TraceEvent {
         inputs: vec![PortBinding::new("x", Index::single(n), Value::int(i64::from(n)))],
         outputs: vec![PortBinding::new("y", Index::single(n), Value::str(&format!("out-{n}")))],
     })
-}
-
-fn tmp(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("prov-store-crash-torture");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{tag}-{}.wal", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    path
 }
 
 /// Parses the byte offsets at which each well-formed frame ends.
@@ -63,7 +59,8 @@ fn ingest(store: &TraceStore, events: &[TraceEvent], chunk: usize) {
 fn torture_case(tag: &str, events: &[TraceEvent], chunk: usize, offset: u64) {
     // Fault-free reference: same records, same bytes (encoding and run-id
     // assignment are deterministic).
-    let ref_path = tmp(&format!("{tag}-ref"));
+    let ref_dir = TempDir::new(&format!("crash-torture-{tag}-ref"));
+    let ref_path = ref_dir.db();
     {
         let store = TraceStore::open(&ref_path).unwrap();
         ingest(&store, events, chunk);
@@ -74,7 +71,8 @@ fn torture_case(tag: &str, events: &[TraceEvent], chunk: usize, offset: u64) {
     let ends = frame_ends(&ref_bytes);
 
     // Torture run: identical ingest over a file torn at `offset`.
-    let t_path = tmp(&format!("{tag}-torture"));
+    let t_dir = TempDir::new(&format!("crash-torture-{tag}"));
+    let t_path = t_dir.db();
     {
         let store = TraceStore::open_with_fault(&t_path, FaultPlan::crash_at(offset)).unwrap();
         ingest(&store, events, chunk);
@@ -134,9 +132,6 @@ fn torture_case(tag: &str, events: &[TraceEvent], chunk: usize, offset: u64) {
     let again = TraceStore::open(&t_path).unwrap();
     assert_eq!(again.recovered_tail(), Some(TailState::Clean));
     assert_eq!(again.runs().len(), 2);
-
-    let _ = std::fs::remove_file(&ref_path);
-    let _ = std::fs::remove_file(&t_path);
 }
 
 proptest! {
@@ -152,13 +147,12 @@ proptest! {
         let events: Vec<TraceEvent> = (0..n_events).map(ev).collect();
         // Size the reference once per case to translate the permille cut
         // into a byte offset that can also land past end-of-log.
-        let probe = tmp("probe");
+        let probe = TempDir::new("crash-torture-probe");
         let total = {
-            let store = TraceStore::open(&probe).unwrap();
+            let store = TraceStore::open(probe.db()).unwrap();
             ingest(&store, &events, chunk);
-            std::fs::metadata(&probe).unwrap().len()
+            std::fs::metadata(probe.db()).unwrap().len()
         };
-        let _ = std::fs::remove_file(&probe);
         let offset = total * u64::from(cut_permille) / 1000;
         torture_case("prop", &events, chunk, offset);
     }
@@ -192,13 +186,12 @@ fn seeded_crash_offsets_recover_durable_prefix() {
         let n_events = 1 + (rng.next() % 30) as u32;
         let chunk = 1 + (rng.next() % 7) as usize;
         let events: Vec<TraceEvent> = (0..n_events).map(ev).collect();
-        let probe = tmp(&format!("seed-probe-{case}"));
+        let probe = TempDir::new(&format!("crash-torture-seed-probe-{case}"));
         let total = {
-            let store = TraceStore::open(&probe).unwrap();
+            let store = TraceStore::open(probe.db()).unwrap();
             ingest(&store, &events, chunk);
-            std::fs::metadata(&probe).unwrap().len()
+            std::fs::metadata(probe.db()).unwrap().len()
         };
-        let _ = std::fs::remove_file(&probe);
         // Raw offset anywhere in [0, total + 32]: includes mid-header,
         // mid-payload, frame-aligned and past-the-end cuts.
         let offset = rng.next() % (total + 33);
@@ -210,7 +203,8 @@ fn seeded_crash_offsets_recover_durable_prefix() {
 /// the first append) is a *clean* empty log — not a torn or corrupt one.
 #[test]
 fn empty_wal_file_recovers_clean() {
-    let path = tmp("empty");
+    let dir = TempDir::new("crash-torture-empty");
+    let path = dir.db();
     std::fs::write(&path, b"").unwrap();
     let store = TraceStore::open(&path).unwrap();
     assert_eq!(store.recovered_tail(), Some(TailState::Clean));
@@ -221,7 +215,6 @@ fn empty_wal_file_recovers_clean() {
     let run = store.begin_run(&"wf".into());
     store.finish_run(run);
     store.durability().unwrap();
-    let _ = std::fs::remove_file(&path);
 }
 
 /// A WAL holding only the snapshot-marker header frame (the state right
@@ -229,7 +222,8 @@ fn empty_wal_file_recovers_clean() {
 /// frames, and recovers the snapshotted state.
 #[test]
 fn marker_only_wal_recovers_clean() {
-    let path = tmp("marker-only");
+    let dir = TempDir::new("crash-torture-marker-only");
+    let path = dir.db();
     {
         let store = TraceStore::open(&path).unwrap();
         let run = store.begin_run(&"wf".into());
@@ -245,14 +239,13 @@ fn marker_only_wal_recovers_clean() {
     assert_eq!(reopened.wal_metrics().recovery_replayed_frames.get(), 0);
     assert_eq!(reopened.trace_record_count(RunId(0)), 2);
     assert!(reopened.runs()[0].finished);
-    let _ = std::fs::remove_file(format!("{}.snap.1", path.display()));
-    let _ = std::fs::remove_file(&path);
 }
 
 /// A WAL holding exactly one complete frame is a clean log of one record.
 #[test]
 fn exactly_one_frame_wal_recovers_clean() {
-    let path = tmp("one-frame");
+    let dir = TempDir::new("crash-torture-one-frame");
+    let path = dir.db();
     {
         let store = TraceStore::open(&path).unwrap();
         store.begin_run(&"wf".into()); // one BeginRun frame, flushed on drop
@@ -262,14 +255,14 @@ fn exactly_one_frame_wal_recovers_clean() {
     assert_eq!(reopened.wal_metrics().recovery_replayed_frames.get(), 1);
     assert_eq!(reopened.runs().len(), 1);
     assert!(!reopened.runs()[0].finished, "FinishRun was never recorded");
-    let _ = std::fs::remove_file(&path);
 }
 
 /// An injected fsync failure must surface as a typed durability error —
 /// never a panic — while the flushed bytes remain recoverable.
 #[test]
 fn fsync_failure_poisons_writer_with_typed_error() {
-    let path = tmp("fsync");
+    let dir = TempDir::new("crash-torture-fsync");
+    let path = dir.db();
     {
         let store = TraceStore::open_with_fault(&path, FaultPlan::fail_sync(1)).unwrap();
         let run = store.begin_run(&"wf".into());
@@ -285,5 +278,4 @@ fn fsync_failure_poisons_writer_with_typed_error() {
     let reopened = TraceStore::open(&path).unwrap();
     assert_eq!(reopened.trace_record_count(RunId(0)), 2);
     assert!(reopened.runs()[0].finished);
-    let _ = std::fs::remove_file(&path);
 }

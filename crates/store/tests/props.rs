@@ -1,6 +1,10 @@
 //! Property tests for the trace store: index/scan consistency and WAL
 //! round-trips under random event streams.
 
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+
+use common::TempDir;
 use proptest::prelude::*;
 
 use prov_engine::{PortBinding, TraceEvent, TraceSink, XferEvent, XformEvent};
@@ -149,14 +153,8 @@ proptest! {
     /// Durable stores replay to exactly the same queryable state.
     #[test]
     fn wal_replay_reproduces_state(events in proptest::collection::vec(arb_event(), 1..30)) {
-        let dir = std::env::temp_dir().join("prov-store-props");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!(
-            "replay-{}-{:x}.wal",
-            std::process::id(),
-            std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
-        ));
-        let _ = std::fs::remove_file(&path);
+        let dir = TempDir::new("store-props-replay");
+        let path = dir.db();
 
         let run;
         {
@@ -178,7 +176,6 @@ proptest! {
             let b = fresh.xforms_producing(run2, &proc_name(p), "y", &Index::empty()).len();
             prop_assert_eq!(a, b);
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     /// Multi-run isolation: events of one run are never visible in another.
@@ -244,14 +241,8 @@ proptest! {
     #[test]
     fn wal_batch_replay_reproduces_exact_contents(events in proptest::collection::vec(arb_event(), 1..30),
                                                   chunk in 1usize..9) {
-        let dir = std::env::temp_dir().join("prov-store-props");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!(
-            "batch-replay-{}-{:x}.wal",
-            std::process::id(),
-            std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
-        ));
-        let _ = std::fs::remove_file(&path);
+        let dir = TempDir::new("store-props-batch-replay");
+        let path = dir.db();
 
         let run;
         {
@@ -274,6 +265,5 @@ proptest! {
         prop_assert_eq!(replayed.xfers_of_run(run), fresh.xfers_of_run(r2));
         prop_assert_eq!(replayed.value_count(), fresh.value_count());
         prop_assert_eq!(replayed.index_key_counts(), fresh.index_key_counts());
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -1,9 +1,10 @@
 //! Property test for the event journal's attribution contract: the typed
 //! event stream reassembles into per-query totals that agree exactly with
 //! (a) each query's own `QueryFinished` summary and (b) the store's
-//! aggregate counters — no matter how many worker threads the query
-//! layer fans out across. This is what makes `tprov tail`/`tprov slow`
-//! trustworthy: counters never leak between concurrent queries.
+//! aggregate counters, and every `QueryFinished` splits its duration
+//! exactly into t1 (graph work) and t2 (trace access). This is what makes
+//! `tprov tail`/`tprov slow` trustworthy: counters never leak between
+//! queries, and the stage times add up to the end-to-end time.
 
 use std::collections::HashMap;
 
@@ -25,18 +26,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Testbed workloads at random size, queried by INDEXPROJ with the
-    /// journal on, under 1–4 query worker threads. For every trace id:
-    /// Σ `PlanStep` counters == the `QueryFinished` totals; and across
-    /// all traces the journal accounts for the store's whole counter
-    /// delta — per-query attribution loses and invents nothing.
+    /// journal on. For every trace id: Σ `PlanStep` counters == the
+    /// `QueryFinished` totals; across all traces the journal accounts for
+    /// the store's whole counter delta — per-query attribution loses and
+    /// invents nothing; and every `QueryFinished` has t1 + t2 == dur.
     #[test]
     fn journal_events_reassemble_into_store_counters(
         l in 2usize..=3,
         d in 2usize..=4,
-        threads in 1usize..=4,
         n_runs in 1usize..=5,
     ) {
-        prov_core::set_query_threads(Some(threads));
         let df = testbed::generate(l);
         let store = TraceStore::in_memory();
         let runs: Vec<RunId> = (0..n_runs).map(|_| testbed::run(&df, d, &store).run_id).collect();
@@ -47,8 +46,8 @@ proptest! {
         let ip = IndexProj::new(&df);
         let before = store.stats().snapshot();
 
-        // Four distinct point queries, each under its own trace id; with
-        // enough runs each single query additionally fans out internally.
+        // Four distinct point queries, each under its own trace id, each
+        // executed over every run.
         let mut wanted = Vec::new();
         for (i, j) in [(0u32, 0u32), (0, 1), (1, 0), (1, 1)] {
             let q = LineageQuery::focused(
@@ -80,8 +79,11 @@ proptest! {
                     t.rows_scanned += rows_scanned;
                 }
                 JournalEvent::QueryFinished {
-                    trace, index_lookups, records_read, rows_scanned, ..
+                    trace, index_lookups, records_read, rows_scanned, t1_ns, t2_ns, dur_ns, ..
                 } => {
+                    // Stages add up: graph work + trace access == the
+                    // query's wall time.
+                    prop_assert_eq!(t1_ns + t2_ns, *dur_ns, "trace {} t1 + t2 != dur", trace.0);
                     let t = finished_totals.entry(trace.0).or_default();
                     t.index_lookups += index_lookups;
                     t.records_read += records_read;

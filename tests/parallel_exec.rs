@@ -1,9 +1,10 @@
 //! Parallel execution end-to-end: the trace recorded under the parallel
 //! scheduler must answer lineage queries identically to the sequential
 //! one (schedule independence of provenance, §2.1's pure dataflow model).
-//! Plus: observability is fan-out-invariant — metrics and span totals
-//! aggregated across `par.rs` scoped-thread fan-out equal the sequential
-//! totals.
+//! Plus: a multi-run query is exactly its per-run executions — answers,
+//! store counters and span totals of one `execute_multi_ctx` /
+//! `run_multi_ctx` call equal those of running the plan run by run — and
+//! every plan step is accounted once.
 
 use std::collections::BTreeMap;
 
@@ -88,8 +89,8 @@ fn parallel_mode_handles_nested_workflows() {
 }
 
 /// Per-span-name `(count, Σ rows-arg)` totals of a profiler — the
-/// fan-out-invariant view of a recorded timeline (start order and thread
-/// assignment legitimately differ across schedules).
+/// schedule-invariant view of a recorded timeline (start order and thread
+/// assignment may differ between executions).
 fn span_totals(profiler: &Profiler) -> BTreeMap<String, (u64, u64)> {
     let mut totals: BTreeMap<String, (u64, u64)> = BTreeMap::new();
     for s in profiler.spans() {
@@ -104,13 +105,12 @@ fn span_totals(profiler: &Profiler) -> BTreeMap<String, (u64, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Multi-run fan-out (≥ 4 runs crosses `RUN_FANOUT_MIN`): executing a
-    /// shared plan run-by-run under one profiler and fanned-out under
-    /// another yields identical answers, identical store-counter deltas,
-    /// and identical per-span-name totals — observability does not leak
-    /// or lose work across scoped threads.
+    /// Multi-run ≡ per-run: executing a shared plan run by run under one
+    /// profiler and as one multi-run query under another yields identical
+    /// answers, identical store-counter deltas, and identical per-span-name
+    /// totals — the multi-run path neither loses nor invents work.
     #[test]
-    fn fanned_multi_run_observability_matches_sequential(
+    fn multi_run_observability_matches_per_run(
         l in 1usize..6, d in 2usize..5, n in 4usize..8,
     ) {
         let df = testbed::generate(l);
@@ -139,7 +139,7 @@ proptest! {
         prop_assert_eq!(seq_work, par_work);
         prop_assert_eq!(span_totals(&seq_obs.profiler), span_totals(&par_obs.profiler));
 
-        // NI's traversal spans are fan-out-invariant the same way.
+        // NI's multi-run traversal spans equal its per-run ones the same way.
         let seq_ni = Obs::enabled();
         for &r in &runs {
             NaiveLineage::new().run_pinned(&store.pin(r), &query, &seq_ni).unwrap();
@@ -149,12 +149,11 @@ proptest! {
         prop_assert_eq!(span_totals(&seq_ni.profiler), span_totals(&par_ni.profiler));
     }
 
-    /// Step fan-out (an unfocused plan has ≥ 2l steps, crossing
-    /// `STEP_FANOUT_MIN` at l ≥ 8): one `indexproj.step` span is recorded
-    /// per plan step and their `rows` arguments account for every
-    /// returned binding exactly once.
+    /// Large plans (an unfocused plan has ≥ 2l steps, so ≥ 16 at l ≥ 8):
+    /// one `indexproj.step` span is recorded per plan step and their
+    /// `rows` arguments account for every returned binding exactly once.
     #[test]
-    fn fanned_plan_steps_account_all_rows(l in 8usize..12, d in 2usize..4) {
+    fn plan_steps_account_all_rows(l in 8usize..12, d in 2usize..4) {
         let df = testbed::generate(l);
         let store = TraceStore::in_memory();
         let run = testbed::run(&df, d, &store).run_id;

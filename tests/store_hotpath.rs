@@ -1,8 +1,8 @@
 //! Hot-path overhaul, end to end: batched ingest must be observationally
 //! equivalent to event-at-a-time ingest through the whole pipeline, run
 //! scans must stay proportional to the run (not the heap), plan caching
-//! must absorb repeated queries, and multi-run fan-out must answer
-//! exactly like a sequential sweep.
+//! must absorb repeated queries, and a multi-run query must answer
+//! exactly like executing the plan run by run.
 
 use std::sync::Mutex;
 
@@ -113,11 +113,12 @@ fn plan_cache_absorbs_repeated_fig4_queries() {
     assert_eq!(cache.len(), 1);
 }
 
+/// Multi-run ≡ per-run: one `execute_multi` over six runs answers
+/// exactly what executing the shared plan on each run does.
 #[test]
-fn multi_run_fanout_matches_sequential_execution() {
+fn multi_run_execution_matches_per_run_execution() {
     let df = testbed::generate(4);
     let store = TraceStore::in_memory();
-    // Enough runs to cross the parallel fan-out threshold.
     let runs: Vec<RunId> = (0..6).map(|_| testbed::run(&df, 3, &store).run_id).collect();
 
     let q = testbed::focused_query(&[1, 1]);
