@@ -34,12 +34,14 @@ fn bench_lookups(c: &mut Criterion) {
     let mut group = c.benchmark_group("lookup");
     for n in [1_000usize, 10_000, 100_000] {
         let (store, run) = populated(n);
+        let view = store.pin(run);
         let p = ProcessorName::from("P");
+        let i = Index::single((n / 2) as u32);
         group.bench_with_input(BenchmarkId::new("exact", n), &n, |b, _| {
-            b.iter(|| store.xforms_producing(run, &p, "y", &Index::single((n / 2) as u32)));
+            b.iter(|| view.xforms_producing(&p, "y", &i, &mut view.probe_guard()));
         });
         group.bench_with_input(BenchmarkId::new("q_input_bindings", n), &n, |b, _| {
-            b.iter(|| store.input_bindings(run, &p, "x", &Index::single((n / 2) as u32)));
+            b.iter(|| view.input_bindings(&p, "x", &i, &mut view.probe_guard()));
         });
     }
     group.finish();
@@ -70,9 +72,10 @@ fn bench_prefix_scan(c: &mut Criterion) {
             );
         }
     }
+    let view = store.pin(run);
     let p = ProcessorName::from("P");
     c.bench_function("prefix_scan_100_of_10000", |b| {
-        b.iter(|| store.xforms_producing(run, &p, "y", &Index::single(42)));
+        b.iter(|| view.xforms_producing(&p, "y", &Index::single(42), &mut view.probe_guard()));
     });
 }
 

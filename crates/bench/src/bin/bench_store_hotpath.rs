@@ -568,8 +568,9 @@ fn main() {
         }
     });
     let t_new_point = best_of(reps, || {
+        let view = store.pin(run);
         for (p, x, idx) in &probes {
-            let got = store.xforms_producing(run, p, x, idx);
+            let got = view.xforms_producing(p, x, idx, &mut view.probe_guard());
             assert!(!got.is_empty(), "new probe missed");
         }
     });
@@ -584,8 +585,9 @@ fn main() {
         }
     });
     let t_new_scan = best_of(reps, || {
+        let view = store.pin(run);
         for prefix in &scans {
-            let got = store.xforms_producing(run, &join, "Y", prefix);
+            let got = view.xforms_producing(&join, "Y", prefix, &mut view.probe_guard());
             assert_eq!(got.len(), d, "new scan size");
         }
     });
@@ -600,16 +602,18 @@ fn main() {
     // measured alongside for DESIGN.md's overhead table. ----
     let journal_reps = reps.max(3);
     let t_journal_off = best_of(journal_reps, || {
+        let view = store.pin(run);
         for (p, x, idx) in &probes {
-            let got = store.xforms_producing(run, p, x, idx);
+            let got = view.xforms_producing(p, x, idx, &mut view.probe_guard());
             assert!(!got.is_empty(), "journal-off probe missed");
         }
     });
     let journal_on = prov_obs::Journal::new(1 << 16);
     store.attach_journal(&journal_on);
     let t_journal_on = best_of(journal_reps, || {
+        let view = store.pin(run);
         for (p, x, idx) in &probes {
-            let got = store.xforms_producing(run, p, x, idx);
+            let got = view.xforms_producing(p, x, idx, &mut view.probe_guard());
             assert!(!got.is_empty(), "journal-on probe missed");
         }
     });

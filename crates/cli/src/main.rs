@@ -1278,12 +1278,13 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
     let mut errors = 0usize;
     let mut failed_checks = 0usize;
     let mut reports: Vec<ExplainReport> = Vec::new();
+    let view = store.pin(run);
     for query in &queries {
         let ex = ip
             .explain_with(
                 query,
                 &catalog,
-                |step, id| Some(store.port_cardinality(id, run, &step.processor, &step.port)),
+                |step, id| Some(view.port_cardinality(id, &step.processor, &step.port)),
                 &obs,
             )
             .map_err(|e| e.to_string())?;
@@ -1482,10 +1483,11 @@ fn cmd_find_value(args: &Args) -> Result<(), String> {
     let runs = run_selection(args)?.resolve(&store);
     let focus = parse_focus(args);
     for run in runs {
-        let hits = store.bindings_with_value(run, &value);
+        let view = store.pin(run);
+        let hits = view.bindings_with_value(&value, &mut view.probe_guard());
         println!("{run}: value {value} appears in {} binding(s)", hits.len());
         for b in &hits {
-            let resolved = store.resolve(b).map_err(|e| e.to_string())?;
+            let resolved = view.resolve(b).map_err(|e| e.to_string())?;
             println!("  {resolved}");
             if args.has_flag("lineage") {
                 let q = LineageQuery::focused(

@@ -187,7 +187,11 @@ pub fn audit_run(df: &Dataflow, store: &TraceStore, run: RunId) -> Result<AuditR
     // dangling-transfer check.
     let mut produced: HashMap<(ProcessorName, String), Vec<Index>> = HashMap::new();
 
-    for rec in store.xforms_of_run(run) {
+    // One pin for both tables: the xfers checked are those of the same
+    // snapshot whose xforms were collected.
+    let view = store.pin(run);
+    let mut probe = view.probe_guard();
+    for rec in view.xforms_of_run(&mut probe) {
         report.xforms_checked += 1;
         for out in rec.outputs() {
             produced
@@ -258,7 +262,7 @@ pub fn audit_run(df: &Dataflow, store: &TraceStore, run: RunId) -> Result<AuditR
                 .map(|s| matches!(s.kind, prov_dataflow::ProcessorKind::Nested { .. }))
                 .unwrap_or(true)
     };
-    for rec in store.xfers_of_run(run) {
+    for rec in view.xfers_of_run(&mut probe) {
         report.xfers_checked += 1;
         if workflow_scope(&rec.src_processor) {
             continue;

@@ -118,10 +118,11 @@ impl TraceDiff {
 /// Compares the iteration structure of two runs.
 pub fn diff_traces(store: &TraceStore, run_a: RunId, run_b: RunId) -> TraceDiff {
     let mut invocations: BTreeMap<ProcessorName, (u64, u64)> = BTreeMap::new();
-    for rec in store.xforms_of_run(run_a) {
+    let (a, b) = (store.pin(run_a), store.pin(run_b));
+    for rec in a.xforms_of_run(&mut a.probe_guard()) {
         invocations.entry(rec.processor.clone()).or_default().0 += 1;
     }
-    for rec in store.xforms_of_run(run_b) {
+    for rec in b.xforms_of_run(&mut b.probe_guard()) {
         invocations.entry(rec.processor.clone()).or_default().1 += 1;
     }
     TraceDiff { runs: (run_a, run_b), invocations }

@@ -129,7 +129,7 @@ impl NaiveImpact {
             // Forward xform case: invocations that consumed this binding;
             // their outputs are impacted.
             trace_queries += 1;
-            let consumers = view.xforms_consuming_stats(&processor, &port, &index, &mut probe);
+            let consumers = view.xforms_consuming(&processor, &port, &index, &mut probe);
             for rec in &consumers {
                 // Only invocations whose THIS-port input actually overlaps.
                 for output in rec.outputs() {
@@ -139,7 +139,7 @@ impl NaiveImpact {
 
             // Forward xfer case: transfers leaving this binding.
             trace_queries += 1;
-            let outgoing = view.xfers_from_stats(&processor, &port, &index, &mut probe);
+            let outgoing = view.xfers_from(&processor, &port, &index, &mut probe);
             for rec in &outgoing {
                 if query.focus.contains(&rec.dst_processor) {
                     // Collect the impacted element at the destination when

@@ -86,10 +86,10 @@ impl LineagePlan {
     ) -> Result<Vec<Binding>> {
         let stored = match step.kind {
             StepKind::XformInput => {
-                view.input_bindings_stats(&step.processor, &step.port, &step.index, probe)
+                view.input_bindings(&step.processor, &step.port, &step.index, probe)
             }
             StepKind::XferSrc => {
-                view.xfer_src_bindings_stats(&step.processor, &step.port, &step.index, probe)
+                view.xfer_src_bindings(&step.processor, &step.port, &step.index, probe)
             }
         };
         stored.iter().map(|b| view.resolve(b).map_err(CoreError::Store)).collect()

@@ -110,7 +110,7 @@ impl NaiveLineage {
 
             // xform case: the node as an invocation output.
             trace_queries += 1;
-            let producers = view.xforms_producing_stats(&processor, &port, &index, &mut probe);
+            let producers = view.xforms_producing(&processor, &port, &index, &mut probe);
             let focused = query.focus.contains(&processor);
             for rec in &producers {
                 for input in rec.inputs() {
@@ -134,7 +134,7 @@ impl NaiveLineage {
 
             // xfer case: the node as an arc destination.
             trace_queries += 1;
-            let incoming = view.xfers_into_stats(&processor, &port, &index, &mut probe);
+            let incoming = view.xfers_into(&processor, &port, &index, &mut probe);
             for rec in &incoming {
                 stack.push((
                     rec.src_processor.clone(),
@@ -156,14 +156,14 @@ impl NaiveLineage {
                 } else {
                     trace_queries += 1;
                     let scope_prefix = format!("{processor}/");
-                    view.xfers_from_stats(&processor, &port, &index, &mut probe).iter().any(|r| {
+                    view.xfers_from(&processor, &port, &index, &mut probe).iter().any(|r| {
                         r.dst_processor.as_str().starts_with(&scope_prefix)
                             || r.dst_processor == processor
                     })
                 };
                 if is_source || is_scope_input {
                     trace_queries += 1;
-                    for b in view.xfer_src_bindings_stats(&processor, &port, &index, &mut probe) {
+                    for b in view.xfer_src_bindings(&processor, &port, &index, &mut probe) {
                         bindings.push(view.resolve(&b)?);
                     }
                 }

@@ -323,10 +323,11 @@ impl<'a> IndexProj<'a> {
         obs: &Obs,
     ) -> Result<Explanation> {
         let catalog = store.index_catalog();
+        let view = store.pin(run);
         self.explain_with(
             query,
             &catalog,
-            |step, id| Some(store.port_cardinality(id, run, &step.processor, &step.port)),
+            |step, id| Some(view.port_cardinality(id, &step.processor, &step.port)),
             obs,
         )
     }

@@ -167,7 +167,8 @@ fn stored_error_token_carries_origin_and_attempt_count() {
     assert_eq!(outcome.failed_xforms()[0].attempts, 3);
     assert_eq!(clock.sleeps(), vec![50, 50]);
 
-    let rows = store.xforms_producing(RunId(0), &"LA".into(), "y", &Index::single(1));
+    let view = store.pin(RunId(0));
+    let rows = view.xforms_producing(&"LA".into(), "y", &Index::single(1), &mut view.probe_guard());
     assert_eq!(rows.len(), 1);
     let out_port = rows[0].ports.iter().find(|p| &*p.port == "y").unwrap();
     let stored = store.value(out_port.value).unwrap();

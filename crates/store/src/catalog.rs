@@ -16,17 +16,17 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-/// The four composite `(run, processor, port, index)` indexes of the
-/// store, named after the binding side they cover.
+/// The four composite `(processor, port, index)` indexes of each run's
+/// shard, named after the binding side they cover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IndexId {
-    /// `(run, processor, output port, q)` → xform rows.
+    /// `(processor, output port, q)` → xform rows.
     XformOut,
-    /// `(run, processor, input port, p_i)` → xform rows.
+    /// `(processor, input port, p_i)` → xform rows.
     XformIn,
-    /// `(run, dst processor, dst port, p')` → xfer rows.
+    /// `(dst processor, dst port, p')` → xfer rows.
     XferDst,
-    /// `(run, src processor, src port, p)` → xfer rows.
+    /// `(src processor, src port, p)` → xfer rows.
     XferSrc,
 }
 

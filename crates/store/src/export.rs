@@ -65,7 +65,9 @@ impl ProvenanceGraph {
             i
         };
 
-        for rec in store.xforms_of_run(run) {
+        let view = store.pin(run);
+        let mut probe = view.probe_guard();
+        for rec in view.xforms_of_run(&mut probe) {
             let inputs: Vec<usize> = rec
                 .inputs()
                 .map(|p| {
@@ -93,7 +95,7 @@ impl ProvenanceGraph {
                 }
             }
         }
-        for rec in store.xfers_of_run(run) {
+        for rec in view.xfers_of_run(&mut probe) {
             let from = intern(
                 &mut graph,
                 GraphNode {

@@ -10,14 +10,19 @@
 //!   invocation, with per-port input/output rows) and *xfer* events (one
 //!   row per transferred element), keyed by **trace (run) id** — the
 //!   attribute that makes multi-run queries cheap (§3.4);
-//! * composite ordered (B-tree) secondary indexes on
-//!   `(run, processor, port, index)` giving the point lookups and prefix
-//!   scans both query algorithms issue ("all of the queries on the traces
-//!   involve the use of indexes, with none requiring full table scans");
+//! * one shard per run, holding composite ordered (B-tree) secondary
+//!   indexes on `(processor, port, index)` that give the point lookups and
+//!   prefix scans both query algorithms issue ("all of the queries on the
+//!   traces involve the use of indexes, with none requiring full table
+//!   scans");
+//! * one read surface: [`TraceStore::pin`] returns a lock-free
+//!   [`ReadView`] snapshot of one run, with one method per access path,
+//!   each counting its work into a caller-owned [`ProbeStats`];
 //! * a content-addressed value table (identical collections recur along
 //!   every arc of a trace);
-//! * per-query access statistics ([`QueryStats`]) so benchmarks can report
-//!   machine-independent record-access counts next to wall-clock times;
+//! * access statistics ([`QueryStats`], fed by [`ProbeGuard`]s) so
+//!   benchmarks can report machine-independent record-access counts next
+//!   to wall-clock times;
 //! * durability via an append-only, CRC-framed write-ahead log with crash
 //!   recovery and checkpoint compaction.
 //!

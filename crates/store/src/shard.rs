@@ -15,21 +15,21 @@
 //! concurrent queries (one daemon session each) run without serialising
 //! on the store's `RwLock` (the contention wall the pre-shard layout hit).
 //!
-//! Stats discipline: each `ReadView` method counts its index/record work
-//! into a stack-local [`ProbeStats`] and flushes the totals into the shared
-//! [`QueryStats`] atomics exactly once per call, instead of one atomic RMW
-//! per probe. Flushing rides a [`ProbeGuard`] so early returns and panics
-//! still account the work already done. The `*_stats` probe variants
-//! instead count into a **caller-owned** accumulator (and flush nothing):
-//! the query layer uses them to attribute exact per-step costs to
-//! individual queries even while other queries probe the same store.
+//! Stats discipline: every `ReadView` read takes a caller-owned
+//! `probe: &mut ProbeStats` and counts its index and record work into it;
+//! no read touches the shared [`QueryStats`] atomics itself. The query layer
+//! passes one accumulator per plan step or traversal, which attributes
+//! exact costs to each query even while other queries probe the same
+//! store. A one-off caller passes `&mut view.probe_guard()`: the
+//! [`ProbeGuard`] flushes its totals into the shared counters once, on drop
+//! — including on early returns and panics.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use prov_model::{Binding, Index, PortRef, ProcessorName, RunId, Value, ValueId};
 
-use crate::catalog::PortCardinality;
+use crate::catalog::{IndexId, PortCardinality};
 use crate::indexes::{CompositeIndex, SymKey};
 use crate::rows::{
     PortDirection, StoredBinding, XferRecord, XferRow, XformPortRecord, XformPortRow, XformRecord,
@@ -56,13 +56,13 @@ pub(crate) enum RowRef {
 pub(crate) struct RunShard {
     pub(crate) xforms: Vec<XformRow>,
     pub(crate) xfers: Vec<XferRow>,
-    /// (run, processor, output port, q) → xform positions.
+    /// (processor, output port, q) → xform positions.
     pub(crate) idx_xform_out: CompositeIndex,
-    /// (run, processor, input port, p_i) → xform positions.
+    /// (processor, input port, p_i) → xform positions.
     pub(crate) idx_xform_in: CompositeIndex,
-    /// (run, dst processor, dst port, p') → xfer positions.
+    /// (dst processor, dst port, p') → xfer positions.
     pub(crate) idx_xfer_dst: CompositeIndex,
-    /// (run, src processor, src port, p) → xfer positions.
+    /// (src processor, src port, p) → xfer positions.
     pub(crate) idx_xfer_src: CompositeIndex,
     /// Reverse value index: every row position whose binding carries the
     /// value — the access path for *value-predicated* queries (§1.1).
@@ -101,7 +101,7 @@ impl RunShard {
                 index: b.index.clone(),
                 value,
             });
-            self.idx_xform_in.insert(SymKey { run, processor, port, index }, pos);
+            self.idx_xform_in.insert(SymKey { processor, port, index }, pos);
         }
         for b in &event.outputs {
             let value = values.intern(&b.value);
@@ -114,7 +114,7 @@ impl RunShard {
                 index: b.index.clone(),
                 value,
             });
-            self.idx_xform_out.insert(SymKey { run, processor, port, index }, pos);
+            self.idx_xform_out.insert(SymKey { processor, port, index }, pos);
         }
         self.xforms.push(XformRow { id, run, processor, invocation: event.invocation, ports });
     }
@@ -137,7 +137,6 @@ impl RunShard {
         let dst_port = symbols.intern(&event.dst.port);
         self.idx_xfer_dst.insert(
             SymKey {
-                run,
                 processor: dst_processor,
                 port: dst_port,
                 index: IndexKey::from(&event.dst_index),
@@ -146,7 +145,6 @@ impl RunShard {
         );
         self.idx_xfer_src.insert(
             SymKey {
-                run,
                 processor: src_processor,
                 port: src_port,
                 index: IndexKey::from(&event.src_index),
@@ -166,22 +164,14 @@ impl RunShard {
         });
     }
 
-    /// Cardinality statistics of one `(processor, port)` slice of the
-    /// chosen index (see `TraceStore::port_cardinality`).
-    pub(crate) fn port_stats(
-        &self,
-        id: crate::catalog::IndexId,
-        run: RunId,
-        p: Sym,
-        x: Sym,
-    ) -> PortCardinality {
-        let index = match id {
-            crate::catalog::IndexId::XformOut => &self.idx_xform_out,
-            crate::catalog::IndexId::XformIn => &self.idx_xform_in,
-            crate::catalog::IndexId::XferDst => &self.idx_xfer_dst,
-            crate::catalog::IndexId::XferSrc => &self.idx_xfer_src,
-        };
-        index.port_stats(run, p, x)
+    /// The composite index `id` names.
+    fn index(&self, id: IndexId) -> &CompositeIndex {
+        match id {
+            IndexId::XformOut => &self.idx_xform_out,
+            IndexId::XformIn => &self.idx_xform_in,
+            IndexId::XferDst => &self.idx_xfer_dst,
+            IndexId::XferSrc => &self.idx_xfer_src,
+        }
     }
 }
 
@@ -199,9 +189,9 @@ fn empty_shard() -> &'static Arc<RunShard> {
 /// symbol/value tables, and recording after the pin copy-on-writes new
 /// shard state rather than mutating what the view holds.
 ///
-/// Answers and access-statistics accounting are identical to the
-/// corresponding `TraceStore` methods (which are thin wrappers over a
-/// freshly pinned view).
+/// The view is the only way to read a run's trace. It has one method per
+/// access path, and each counts its work into a caller-owned
+/// [`ProbeStats`] (see the module doc).
 #[derive(Debug, Clone)]
 pub struct ReadView {
     run: RunId,
@@ -235,24 +225,38 @@ impl ReadView {
     }
 
     /// Cardinality statistics of one `(processor, port)` slice of the
-    /// chosen index in the pinned run (see `TraceStore::port_cardinality`).
+    /// chosen index in the pinned run — what the static cost model uses to
+    /// size its predictions. Returns zeros for names the store has never
+    /// seen.
     pub fn port_cardinality(
         &self,
-        id: crate::catalog::IndexId,
+        id: IndexId,
         processor: &ProcessorName,
         port: &str,
     ) -> PortCardinality {
         let p = self.symbols.lookup(processor.as_str());
         let x = self.symbols.lookup(port);
-        self.shard.port_stats(id, self.run, p, x)
+        self.shard.index(id).port_stats(p, x)
     }
 
-    /// Translates an API-boundary `(processor, port, index)` triple into
-    /// interned probe keys. Unknown names map to `Sym::MISSING`, which
-    /// probes the indexes and finds nothing — same answers, same stats, no
-    /// allocation.
-    fn probe(&self, processor: &ProcessorName, port: &str, index: &Index) -> (Sym, Sym, IndexKey) {
-        (self.symbols.lookup(processor.as_str()), self.symbols.lookup(port), IndexKey::from(index))
+    /// The positions of the rows of index `id` whose `processor:port` key
+    /// overlaps `index`, sorted and deduplicated, with the port's symbol.
+    /// Unknown names map to `Sym::MISSING`, which probes the index and
+    /// finds nothing — same answers, same stats.
+    fn overlapping(
+        &self,
+        id: IndexId,
+        processor: &ProcessorName,
+        port: &str,
+        index: &Index,
+        probe: &mut ProbeStats,
+    ) -> (Sym, Vec<u64>) {
+        let p = self.symbols.lookup(processor.as_str());
+        let x = self.symbols.lookup(port);
+        let mut ids = self.shard.index(id).get_overlapping(p, x, &IndexKey::from(index), probe);
+        ids.sort_unstable();
+        ids.dedup();
+        (x, ids)
     }
 
     /// Materialises a public record from an interned xform row.
@@ -290,39 +294,26 @@ impl ReadView {
         }
     }
 
-    /// A drop-flushed accumulator bound to this view's shared counters,
-    /// for callers composing several `*_stats` probes into one flush.
+    /// A drop-flushed accumulator bound to this view's shared counters:
+    /// pass `&mut view.probe_guard()` to a one-off read, or hold one
+    /// guard across several reads to flush them together.
     pub fn probe_guard(&self) -> ProbeGuard<'_> {
         self.stats.probe_guard()
     }
 
     /// The xform events whose **output** binding on `processor:port`
-    /// overlaps `index` (see `TraceStore::xforms_producing`).
+    /// overlaps `index` (stored `q` is a prefix of `index`, or extends it).
+    /// This is the inversion lookup of the naïve algorithm: "finding a
+    /// matching xform event in the provenance trace".
     pub fn xforms_producing(
-        &self,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
-    ) -> Vec<XformRecord> {
-        let mut guard = self.probe_guard();
-        self.xforms_producing_stats(processor, port, index, &mut guard)
-    }
-
-    /// [`ReadView::xforms_producing`], counting into a caller-owned
-    /// accumulator instead of flushing to the shared counters.
-    pub fn xforms_producing_stats(
         &self,
         processor: &ProcessorName,
         port: &str,
         index: &Index,
         probe: &mut ProbeStats,
     ) -> Vec<XformRecord> {
-        let (p, x, key) = self.probe(processor, port, index);
-        let ids = self.shard.idx_xform_out.get_overlapping(self.run, p, x, &key, probe);
-        dedup_ids(ids)
-            .into_iter()
-            .map(|pos| self.xform_record(&self.shard.xforms[pos as usize]))
-            .collect()
+        let (_, ids) = self.overlapping(IndexId::XformOut, processor, port, index, probe);
+        ids.into_iter().map(|pos| self.xform_record(&self.shard.xforms[pos as usize])).collect()
     }
 
     /// The xform events whose **input** binding on `processor:port`
@@ -333,26 +324,10 @@ impl ReadView {
         processor: &ProcessorName,
         port: &str,
         index: &Index,
-    ) -> Vec<XformRecord> {
-        let mut guard = self.probe_guard();
-        self.xforms_consuming_stats(processor, port, index, &mut guard)
-    }
-
-    /// [`ReadView::xforms_consuming`] counting into a caller-owned
-    /// accumulator.
-    pub fn xforms_consuming_stats(
-        &self,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
         probe: &mut ProbeStats,
     ) -> Vec<XformRecord> {
-        let (p, x, key) = self.probe(processor, port, index);
-        let ids = self.shard.idx_xform_in.get_overlapping(self.run, p, x, &key, probe);
-        dedup_ids(ids)
-            .into_iter()
-            .map(|pos| self.xform_record(&self.shard.xforms[pos as usize]))
-            .collect()
+        let (_, ids) = self.overlapping(IndexId::XformIn, processor, port, index, probe);
+        ids.into_iter().map(|pos| self.xform_record(&self.shard.xforms[pos as usize])).collect()
     }
 
     /// The xfer events whose **destination** binding on `processor:port`
@@ -362,25 +337,10 @@ impl ReadView {
         processor: &ProcessorName,
         port: &str,
         index: &Index,
-    ) -> Vec<XferRecord> {
-        let mut guard = self.probe_guard();
-        self.xfers_into_stats(processor, port, index, &mut guard)
-    }
-
-    /// [`ReadView::xfers_into`] counting into a caller-owned accumulator.
-    pub fn xfers_into_stats(
-        &self,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
         probe: &mut ProbeStats,
     ) -> Vec<XferRecord> {
-        let (p, x, key) = self.probe(processor, port, index);
-        let ids = self.shard.idx_xfer_dst.get_overlapping(self.run, p, x, &key, probe);
-        dedup_ids(ids)
-            .into_iter()
-            .map(|pos| self.xfer_record(&self.shard.xfers[pos as usize]))
-            .collect()
+        let (_, ids) = self.overlapping(IndexId::XferDst, processor, port, index, probe);
+        ids.into_iter().map(|pos| self.xfer_record(&self.shard.xfers[pos as usize])).collect()
     }
 
     /// The xfer events leaving `processor:port` at an index overlapping
@@ -390,54 +350,30 @@ impl ReadView {
         processor: &ProcessorName,
         port: &str,
         index: &Index,
-    ) -> Vec<XferRecord> {
-        let mut guard = self.probe_guard();
-        self.xfers_from_stats(processor, port, index, &mut guard)
-    }
-
-    /// [`ReadView::xfers_from`] counting into a caller-owned accumulator.
-    pub fn xfers_from_stats(
-        &self,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
         probe: &mut ProbeStats,
     ) -> Vec<XferRecord> {
-        let (p, x, key) = self.probe(processor, port, index);
-        let ids = self.shard.idx_xfer_src.get_overlapping(self.run, p, x, &key, probe);
-        dedup_ids(ids)
-            .into_iter()
-            .map(|pos| self.xfer_record(&self.shard.xfers[pos as usize]))
-            .collect()
+        let (_, ids) = self.overlapping(IndexId::XferSrc, processor, port, index, probe);
+        ids.into_iter().map(|pos| self.xfer_record(&self.shard.xfers[pos as usize])).collect()
     }
 
     /// `Q(P, X_i, p_i)` of Algorithm 2: the stored **input** bindings of
-    /// `processor:port` whose index overlaps `p_i` (see
-    /// `TraceStore::input_bindings`).
+    /// `processor:port` whose index overlaps `p_i`.
+    ///
+    /// The overlap handles both directions of granularity mismatch: a
+    /// projected fragment shorter than the stored indices (coarse query →
+    /// prefix scan over the finer rows) and coarse stored rows (`[]` on
+    /// non-iterated ports) under a fine query.
     pub fn input_bindings(
         &self,
         processor: &ProcessorName,
         port: &str,
         index: &Index,
-    ) -> Vec<StoredBinding> {
-        let mut guard = self.probe_guard();
-        self.input_bindings_stats(processor, port, index, &mut guard)
-    }
-
-    /// [`ReadView::input_bindings`] counting into a caller-owned
-    /// accumulator.
-    pub fn input_bindings_stats(
-        &self,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
         probe: &mut ProbeStats,
     ) -> Vec<StoredBinding> {
-        let (p, x, key) = self.probe(processor, port, index);
-        let ids = self.shard.idx_xform_in.get_overlapping(self.run, p, x, &key, probe);
+        let (x, ids) = self.overlapping(IndexId::XformIn, processor, port, index, probe);
         let mut out = Vec::new();
         let mut seen: Vec<(u64, Index)> = Vec::new();
-        for pos in dedup_ids(ids) {
+        for pos in ids {
             let row = &self.shard.xforms[pos as usize];
             for pr in row.inputs().filter(|pr| pr.port == x) {
                 if !(pr.index.is_prefix_of(index) || index.is_prefix_of(&pr.index)) {
@@ -461,31 +397,20 @@ impl ReadView {
     }
 
     /// The stored **source-side** bindings of xfer rows leaving
-    /// `processor:port` at indices overlapping `index` (see
-    /// `TraceStore::xfer_src_bindings`).
+    /// `processor:port` at indices overlapping `index` — how lineage
+    /// queries materialise bindings for ports that never appear in xform
+    /// rows (top-level workflow inputs exist in the trace only as xfer
+    /// sources).
     pub fn xfer_src_bindings(
-        &self,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
-    ) -> Vec<StoredBinding> {
-        let mut guard = self.probe_guard();
-        self.xfer_src_bindings_stats(processor, port, index, &mut guard)
-    }
-
-    /// [`ReadView::xfer_src_bindings`] counting into a caller-owned
-    /// accumulator.
-    pub fn xfer_src_bindings_stats(
         &self,
         processor: &ProcessorName,
         port: &str,
         index: &Index,
         probe: &mut ProbeStats,
     ) -> Vec<StoredBinding> {
-        let (p, x, key) = self.probe(processor, port, index);
-        let ids = self.shard.idx_xfer_src.get_overlapping(self.run, p, x, &key, probe);
+        let (_, ids) = self.overlapping(IndexId::XferSrc, processor, port, index, probe);
         let mut out: Vec<StoredBinding> = Vec::new();
-        for pos in dedup_ids(ids) {
+        for pos in ids {
             let row = &self.shard.xfers[pos as usize];
             if out.iter().any(|b| b.index == row.src_index && b.value == row.value) {
                 continue; // the same element fans out along several arcs
@@ -503,9 +428,10 @@ impl ReadView {
 
     /// All xform rows of the run, in insertion order. The shard stores
     /// exactly this run's rows contiguously, so only those rows are
-    /// touched; they are charged as both records read and rows scanned.
-    pub fn xforms_of_run(&self) -> Vec<XformRecord> {
-        let mut probe = self.probe_guard();
+    /// touched (a run co-resident with a much larger one never pays for
+    /// its neighbour); they are charged as both records read and rows
+    /// scanned.
+    pub fn xforms_of_run(&self, probe: &mut ProbeStats) -> Vec<XformRecord> {
         let rows: Vec<XformRecord> =
             self.shard.xforms.iter().map(|row| self.xform_record(row)).collect();
         probe.count_rows_scanned(rows.len());
@@ -515,8 +441,7 @@ impl ReadView {
 
     /// All xfer rows of the run, in insertion order (see
     /// [`ReadView::xforms_of_run`]).
-    pub fn xfers_of_run(&self) -> Vec<XferRecord> {
-        let mut probe = self.probe_guard();
+    pub fn xfers_of_run(&self, probe: &mut ProbeStats) -> Vec<XferRecord> {
         let rows: Vec<XferRecord> =
             self.shard.xfers.iter().map(|row| self.xfer_record(row)).collect();
         probe.count_rows_scanned(rows.len());
@@ -525,11 +450,14 @@ impl ReadView {
     }
 
     /// All bindings (across every port role) of the run that carry exactly
-    /// the given value (see `TraceStore::bindings_with_value`).
-    pub fn bindings_with_value(&self, value: &Value) -> Vec<StoredBinding> {
+    /// the given value — the access path for *value-predicated* queries,
+    /// which the paper notes fall outside INDEXPROJ ("a query that
+    /// explicitly predicates on the presence of a specific value … can
+    /// still be answered using a standard graph traversal"). Combine with
+    /// `NaiveLineage`/`NaiveImpact` from the returned bindings.
+    pub fn bindings_with_value(&self, value: &Value, probe: &mut ProbeStats) -> Vec<StoredBinding> {
         let Some(&vid) = self.values.lookup(value) else { return Vec::new() };
         let Some(rows) = self.shard.idx_by_value.get(&vid) else { return Vec::new() };
-        let mut probe = self.probe_guard();
         probe.count_index_lookup();
         let mut out: Vec<StoredBinding> = Vec::new();
         let mut push = |b: StoredBinding| {
@@ -600,16 +528,8 @@ impl ReadView {
 
     /// The access counters this view reports into. Clones of
     /// [`QueryStats`] share their atomic cells, so these are the *store's*
-    /// counters: probes through any view and through the store itself all
-    /// land in one set of totals.
+    /// counters: probes through every view land in one set of totals.
     pub fn stats(&self) -> &QueryStats {
         &self.stats
     }
-}
-
-/// Sorts and deduplicates row positions from multi-path index lookups.
-fn dedup_ids(mut ids: Vec<u64>) -> Vec<u64> {
-    ids.sort_unstable();
-    ids.dedup();
-    ids
 }

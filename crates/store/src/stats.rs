@@ -30,13 +30,18 @@ pub struct QueryStats {
 ///
 /// The shared [`QueryStats`] counters are relaxed atomics; bumping them on
 /// every index probe from several concurrent queries means repeated RMWs on the
-/// same cache lines. Probe paths instead count into a plain-`u64`
-/// `ProbeStats` on the stack and [`flush_into`](ProbeStats::flush_into) the
-/// totals exactly once per store call — same final counter values (addition
-/// is associative), a fraction of the shared-line traffic.
+/// same cache lines. Every [`ReadView`](crate::ReadView) read instead
+/// counts into a caller-owned, plain-`u64` `ProbeStats`, whose owner
+/// [`flush_into`](ProbeStats::flush_into)s the totals once — usually by
+/// dropping a [`ProbeGuard`] — with the same final counter values (addition
+/// is associative) and a fraction of the shared-line traffic.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeStats {
-    /// Number of B-tree descents performed so far.
+    /// Number of logical index lookups performed so far. An overlap probe
+    /// with index `p` counts `|p|+2` — one point lookup per prefix of `p`
+    /// plus one descendant scan — even though prefixes longer than every
+    /// stored key are never looked up: none of them can hit, so the count
+    /// stays the paper's `Q(P, X_i, p_i)` cost, independent of the data.
     pub index_lookups: u64,
     /// Number of rows materialised so far.
     pub records_read: u64,
@@ -50,7 +55,7 @@ impl ProbeStats {
         Self::default()
     }
 
-    /// Counts one index descent.
+    /// Counts one index lookup.
     pub fn count_index_lookup(&mut self) {
         self.index_lookups += 1;
     }
@@ -138,7 +143,7 @@ impl QueryStats {
 /// A point-in-time copy of the counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Number of B-tree descents (point lookups and scans).
+    /// Number of logical index lookups (see [`ProbeStats::index_lookups`]).
     pub index_lookups: u64,
     /// Number of rows materialised out of the tables.
     pub records_read: u64,
@@ -159,7 +164,7 @@ impl QueryStats {
         }
     }
 
-    /// Counts one index descent.
+    /// Counts one index lookup.
     pub fn count_index_lookup(&self) {
         self.index_lookups.inc();
     }

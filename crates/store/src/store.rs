@@ -16,13 +16,11 @@ use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 
 use prov_engine::{TraceEvent, TraceSink, XferEvent, XformEvent};
-use prov_model::{Binding, Index, PortRef, ProcessorName, RunId, Value, ValueId};
+use prov_model::{Index, PortRef, ProcessorName, RunId, Value, ValueId};
 
-use crate::catalog::{IndexCatalog, IndexId, PortCardinality};
+use crate::catalog::IndexCatalog;
 use crate::fault::FaultPlan;
-use crate::rows::{
-    PortDirection, StoredBinding, XferRecord, XferRow, XformPortRow, XformRecord, XformRow,
-};
+use crate::rows::{PortDirection, XferRow, XformPortRow, XformRow};
 use crate::shard::{ReadView, RunShard};
 use crate::snapshot::{self, CompactionPolicy, SnapshotMetrics};
 use crate::stats::QueryStats;
@@ -870,19 +868,6 @@ impl TraceStore {
         )
     }
 
-    /// Cardinality statistics of one `(run, processor, port)` slice of the
-    /// chosen index — what the static cost model uses to size its
-    /// predictions. Returns zeros for names the store has never seen.
-    pub fn port_cardinality(
-        &self,
-        id: IndexId,
-        run: RunId,
-        processor: &ProcessorName,
-        port: &str,
-    ) -> PortCardinality {
-        self.pin(run).port_cardinality(id, processor, port)
-    }
-
     /// All stored runs, in id order.
     pub fn runs(&self) -> Vec<RunInfo> {
         self.inner.read().runs.values().cloned().collect()
@@ -910,104 +895,6 @@ impl TraceStore {
         self.inner.read().runs.values().map(|i| i.xform_count + i.xfer_count).sum()
     }
 
-    /// The xform events whose **output** binding on `processor:port`
-    /// overlaps `index` (stored `q` is a prefix of `index`, or extends it).
-    /// This is the inversion lookup of the naïve algorithm: "finding a
-    /// matching xform event in the provenance trace".
-    pub fn xforms_producing(
-        &self,
-        run: RunId,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
-    ) -> Vec<XformRecord> {
-        self.pin(run).xforms_producing(processor, port, index)
-    }
-
-    /// The xform events whose **input** binding on `processor:port`
-    /// overlaps `index` — the forward (impact) counterpart of
-    /// [`TraceStore::xforms_producing`].
-    pub fn xforms_consuming(
-        &self,
-        run: RunId,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
-    ) -> Vec<XformRecord> {
-        self.pin(run).xforms_consuming(processor, port, index)
-    }
-
-    /// The xfer events whose **destination** binding on `processor:port`
-    /// overlaps `index` — the arc-traversal step of the naïve algorithm.
-    pub fn xfers_into(
-        &self,
-        run: RunId,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
-    ) -> Vec<XferRecord> {
-        self.pin(run).xfers_into(processor, port, index)
-    }
-
-    /// The xfer events leaving `processor:port` at an index overlapping
-    /// `index` (forward navigation; used by impact/downstream queries).
-    pub fn xfers_from(
-        &self,
-        run: RunId,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
-    ) -> Vec<XferRecord> {
-        self.pin(run).xfers_from(processor, port, index)
-    }
-
-    /// `Q(P, X_i, p_i)` of Algorithm 2: the stored **input** bindings of
-    /// `processor:port` whose index overlaps `p_i`, resolved to values.
-    ///
-    /// The overlap handles both directions of granularity mismatch: a
-    /// projected fragment shorter than the stored indices (coarse query →
-    /// prefix scan over the finer rows) and coarse stored rows (`[]` on
-    /// non-iterated ports) under a fine query.
-    pub fn input_bindings(
-        &self,
-        run: RunId,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
-    ) -> Vec<StoredBinding> {
-        self.pin(run).input_bindings(processor, port, index)
-    }
-
-    /// The stored **source-side** bindings of xfer rows leaving
-    /// `processor:port` at indices overlapping `index` — how lineage
-    /// queries materialise bindings for ports that never appear in xform
-    /// rows (top-level workflow inputs exist in the trace only as xfer
-    /// sources).
-    pub fn xfer_src_bindings(
-        &self,
-        run: RunId,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
-    ) -> Vec<StoredBinding> {
-        self.pin(run).xfer_src_bindings(processor, port, index)
-    }
-
-    /// All xform rows of one run, in insertion order — served from the
-    /// run's own shard, so only that run's rows are touched (a run
-    /// co-resident with a much larger one never pays for its neighbour).
-    /// The rows physically examined are charged to the stats as both
-    /// records read and rows scanned.
-    pub fn xforms_of_run(&self, run: RunId) -> Vec<XformRecord> {
-        self.pin(run).xforms_of_run()
-    }
-
-    /// All xfer rows of one run, in insertion order (shard walk; see
-    /// [`TraceStore::xforms_of_run`]).
-    pub fn xfers_of_run(&self, run: RunId) -> Vec<XferRecord> {
-        self.pin(run).xfers_of_run()
-    }
-
     /// Drops a run: its metadata and index entries go immediately; its
     /// heap rows are tombstoned and reclaimed by the next
     /// [`TraceStore::checkpoint`]. Dropping an unknown run errors.
@@ -1030,26 +917,6 @@ impl TraceStore {
         drop(guard);
         self.maybe_compact();
         Ok(())
-    }
-
-    /// Resolves a stored binding into a user-facing [`Binding`].
-    pub fn resolve(&self, b: &StoredBinding) -> crate::Result<Binding> {
-        let value = self.value(b.value).ok_or(StoreError::DanglingValue(b.value))?;
-        Ok(Binding {
-            port: PortRef { processor: b.processor.clone(), port: b.port.clone() },
-            index: b.index.clone(),
-            value,
-        })
-    }
-
-    /// All bindings (across every port role) of one run that carry exactly
-    /// the given value — the access path for *value-predicated* queries,
-    /// which the paper notes fall outside INDEXPROJ ("a query that
-    /// explicitly predicates on the presence of a specific value … can
-    /// still be answered using a standard graph traversal"). Combine with
-    /// `NaiveLineage`/`NaiveImpact` from the returned bindings.
-    pub fn bindings_with_value(&self, run: RunId, value: &Value) -> Vec<StoredBinding> {
-        self.pin(run).bindings_with_value(value)
     }
 
     /// Registers (or overwrites) a workflow specification, making the
@@ -1350,7 +1217,8 @@ impl prov_engine::ResumeSource for TraceStore {
         // Zero-output processors have nothing to prove settlement with and
         // always re-execute.
         let first = ports.first()?;
-        let candidates = self.xforms_producing(run, processor, first, index);
+        let view = self.pin(run);
+        let candidates = view.xforms_producing(processor, first, index, &mut view.probe_guard());
         'cand: for rec in &candidates {
             let mut out = Vec::with_capacity(ports.len());
             for port in ports {
@@ -1361,7 +1229,7 @@ impl prov_engine::ResumeSource for TraceStore {
                 }) else {
                     continue 'cand;
                 };
-                out.push(self.value(p.value)?);
+                out.push(view.value(p.value)?);
             }
             return Some(out);
         }
@@ -1369,15 +1237,17 @@ impl prov_engine::ResumeSource for TraceStore {
     }
 
     fn has_xfer(&self, run: RunId, event: &XferEvent) -> bool {
-        self.xfers_into(run, &event.dst.processor, &event.dst.port, &event.dst_index).iter().any(
-            |r| {
-                r.dst_index == event.dst_index
-                    && r.src_processor == event.src.processor
-                    && *r.src_port == *event.src.port
-                    && r.src_index == event.src_index
-                    && self.value(r.value).as_ref() == Some(&event.value)
-            },
-        )
+        let view = self.pin(run);
+        let dst = &event.dst;
+        let into =
+            view.xfers_into(&dst.processor, &dst.port, &event.dst_index, &mut view.probe_guard());
+        into.iter().any(|r| {
+            r.dst_index == event.dst_index
+                && r.src_processor == event.src.processor
+                && *r.src_port == *event.src.port
+                && r.src_index == event.src_index
+                && view.value(r.value).as_ref() == Some(&event.value)
+        })
     }
 }
 
@@ -1388,6 +1258,8 @@ fn clone_name(n: &ProcessorName) -> ProcessorName {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::{IndexId, PortCardinality};
+    use crate::stats::ProbeStats;
     use prov_engine::PortBinding;
 
     fn xform(proc: &str, inv: u32, q: &[u32], in_idx: &[u32]) -> XformEvent {
@@ -1438,18 +1310,31 @@ mod tests {
         s.record_xform(r, xform("P", 0, &[0], &[0]));
         s.record_xform(r, xform("P", 1, &[1], &[1]));
         // Exact index.
-        let hits = s.xforms_producing(r, &"P".into(), "y", &Index::single(1));
+        let hits =
+            s.pin(r).xforms_producing(&"P".into(), "y", &Index::single(1), &mut ProbeStats::new());
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].invocation, 1);
         // Finer query index [1,2]: the producing invocation has prefix [1].
-        let hits = s.xforms_producing(r, &"P".into(), "y", &Index::from_slice(&[1, 2]));
+        let hits = s.pin(r).xforms_producing(
+            &"P".into(),
+            "y",
+            &Index::from_slice(&[1, 2]),
+            &mut ProbeStats::new(),
+        );
         assert_eq!(hits.len(), 1);
         // Coarse query []: both invocations overlap.
-        let hits = s.xforms_producing(r, &"P".into(), "y", &Index::empty());
+        let hits =
+            s.pin(r).xforms_producing(&"P".into(), "y", &Index::empty(), &mut ProbeStats::new());
         assert_eq!(hits.len(), 2);
         // Wrong port or run: nothing.
-        assert!(s.xforms_producing(r, &"P".into(), "z", &Index::empty()).is_empty());
-        assert!(s.xforms_producing(RunId(99), &"P".into(), "y", &Index::empty()).is_empty());
+        assert!(s
+            .pin(r)
+            .xforms_producing(&"P".into(), "z", &Index::empty(), &mut ProbeStats::new())
+            .is_empty());
+        assert!(s
+            .pin(RunId(99))
+            .xforms_producing(&"P".into(), "y", &Index::empty(), &mut ProbeStats::new())
+            .is_empty());
     }
 
     #[test]
@@ -1458,12 +1343,12 @@ mod tests {
         let r = s.begin_run(&"wf".into());
         s.record_xfer(r, xfer(("A", "y"), ("B", "x"), &[0], "v0"));
         s.record_xfer(r, xfer(("A", "y"), ("B", "x"), &[1], "v1"));
-        let hits = s.xfers_into(r, &"B".into(), "x", &Index::single(0));
+        let hits = s.pin(r).xfers_into(&"B".into(), "x", &Index::single(0), &mut ProbeStats::new());
         assert_eq!(hits.len(), 1);
         assert_eq!(s.value(hits[0].value), Some(Value::str("v0")));
         assert_eq!(hits[0].src_processor, ProcessorName::from("A"));
         // Forward direction.
-        let hits = s.xfers_from(r, &"A".into(), "y", &Index::empty());
+        let hits = s.pin(r).xfers_from(&"A".into(), "y", &Index::empty(), &mut ProbeStats::new());
         assert_eq!(hits.len(), 2);
     }
 
@@ -1473,14 +1358,15 @@ mod tests {
         let r = s.begin_run(&"wf".into());
         s.record_xform(r, xform("P", 0, &[0], &[0]));
         s.record_xform(r, xform("P", 1, &[1], &[1]));
-        let bs = s.input_bindings(r, &"P".into(), "x", &Index::single(1));
+        let bs =
+            s.pin(r).input_bindings(&"P".into(), "x", &Index::single(1), &mut ProbeStats::new());
         assert_eq!(bs.len(), 1);
         assert_eq!(bs[0].index, Index::single(1));
-        let resolved = s.resolve(&bs[0]).unwrap();
+        let resolved = s.pin(r).resolve(&bs[0]).unwrap();
         assert_eq!(resolved.value, Value::str("in"));
         assert_eq!(resolved.port, PortRef::new("P", "x"));
         // Coarse query returns both, deduplicated by (value, index).
-        let bs = s.input_bindings(r, &"P".into(), "x", &Index::empty());
+        let bs = s.pin(r).input_bindings(&"P".into(), "x", &Index::empty(), &mut ProbeStats::new());
         assert_eq!(bs.len(), 2);
     }
 
@@ -1493,7 +1379,7 @@ mod tests {
         for inv in 0..2 {
             s.record_xform(r, xform("P", inv, &[inv], &[]));
         }
-        let bs = s.input_bindings(r, &"P".into(), "x", &Index::empty());
+        let bs = s.pin(r).input_bindings(&"P".into(), "x", &Index::empty(), &mut ProbeStats::new());
         assert_eq!(bs.len(), 1);
         assert!(bs[0].index.is_empty());
     }
@@ -1513,14 +1399,14 @@ mod tests {
         assert_eq!(cat.key_count(IndexId::XferSrc), 1);
         assert!(!cat.without(IndexId::XformIn).serves(IndexId::XformIn));
 
-        let c = s.port_cardinality(IndexId::XformIn, r, &"P".into(), "x");
+        let c = s.pin(r).port_cardinality(IndexId::XformIn, &"P".into(), "x");
         assert_eq!(c.keys, 2);
         assert_eq!(c.rows, 2);
         assert_eq!(c.max_depth, 2);
         // Unknown names and other runs are zero, not errors.
-        let z = s.port_cardinality(IndexId::XformIn, r, &"nope".into(), "x");
+        let z = s.pin(r).port_cardinality(IndexId::XformIn, &"nope".into(), "x");
         assert_eq!(z, PortCardinality::default());
-        let z = s.port_cardinality(IndexId::XformIn, RunId(9), &"P".into(), "x");
+        let z = s.pin(RunId(9)).port_cardinality(IndexId::XformIn, &"P".into(), "x");
         assert_eq!(z.keys, 0);
     }
 
@@ -1582,7 +1468,12 @@ mod tests {
         assert_eq!(s.runs().len(), 1);
         assert!(s.runs()[0].finished);
         assert_eq!(s.trace_record_count(RunId(0)), 2);
-        let hits = s.xforms_producing(RunId(0), &"P".into(), "y", &Index::single(0));
+        let hits = s.pin(RunId(0)).xforms_producing(
+            &"P".into(),
+            "y",
+            &Index::single(0),
+            &mut ProbeStats::new(),
+        );
         assert_eq!(hits.len(), 1);
         // New runs continue after the replayed id space.
         let r2 = s.begin_run(&"wf".into());
@@ -1609,10 +1500,20 @@ mod tests {
         // Batched WAL frames replay to the same queryable state.
         let s = TraceStore::open(&path).unwrap();
         assert_eq!(s.trace_record_count(RunId(0)), 3);
-        assert_eq!(s.xforms_producing(RunId(0), &"P".into(), "y", &Index::empty()).len(), 2);
-        assert_eq!(s.xfers_into(RunId(0), &"Q".into(), "x", &Index::single(0)).len(), 1);
+        assert_eq!(
+            s.pin(RunId(0))
+                .xforms_producing(&"P".into(), "y", &Index::empty(), &mut ProbeStats::new())
+                .len(),
+            2
+        );
+        assert_eq!(
+            s.pin(RunId(0))
+                .xfers_into(&"Q".into(), "x", &Index::single(0), &mut ProbeStats::new())
+                .len(),
+            1
+        );
         // Rows kept recording order within the run.
-        let rows = s.xforms_of_run(RunId(0));
+        let rows = s.pin(RunId(0)).xforms_of_run(&mut ProbeStats::new());
         assert_eq!(rows.iter().map(|r| r.invocation).collect::<Vec<_>>(), vec![0, 1]);
     }
 
@@ -1669,23 +1570,36 @@ mod tests {
 
         s.drop_run(gone).unwrap();
         assert_eq!(s.runs().len(), 1);
-        assert!(s.xforms_producing(gone, &"P".into(), "y", &Index::empty()).is_empty());
-        assert!(s.xforms_of_run(gone).is_empty());
+        assert!(s
+            .pin(gone)
+            .xforms_producing(&"P".into(), "y", &Index::empty(), &mut ProbeStats::new())
+            .is_empty());
+        assert!(s.pin(gone).xforms_of_run(&mut ProbeStats::new()).is_empty());
         assert_eq!(s.trace_record_count(gone), 0);
         // The kept run is untouched.
-        assert_eq!(s.xforms_producing(keep, &"P".into(), "y", &Index::empty()).len(), 1);
+        assert_eq!(
+            s.pin(keep)
+                .xforms_producing(&"P".into(), "y", &Index::empty(), &mut ProbeStats::new())
+                .len(),
+            1
+        );
 
         // Durability: the drop replays…
         let s2 = TraceStore::open(&path).unwrap();
         assert_eq!(s2.runs().len(), 1);
-        assert!(s2.xforms_of_run(gone).is_empty());
+        assert!(s2.pin(gone).xforms_of_run(&mut ProbeStats::new()).is_empty());
 
         // …and checkpointing reclaims the space.
         s2.checkpoint().unwrap();
         let before = std::fs::metadata(&path).unwrap().len();
         let s3 = TraceStore::open(&path).unwrap();
         assert_eq!(s3.runs().len(), 1);
-        assert_eq!(s3.xforms_producing(keep, &"P".into(), "y", &Index::empty()).len(), 1);
+        assert_eq!(
+            s3.pin(keep)
+                .xforms_producing(&"P".into(), "y", &Index::empty(), &mut ProbeStats::new())
+                .len(),
+            1
+        );
         assert!(before > 0);
     }
 
@@ -1696,13 +1610,19 @@ mod tests {
         s.record_xform(r, xform("P", 0, &[0], &[0])); // in "in", out "out"
         s.record_xfer(r, xfer(("P", "y"), ("Q", "x"), &[0], "out"));
         // "out" appears as P's output AND as the transferred element.
-        let hits = s.bindings_with_value(r, &Value::str("out"));
+        let hits = s.pin(r).bindings_with_value(&Value::str("out"), &mut ProbeStats::new());
         assert!(hits.iter().any(|b| b.processor == ProcessorName::from("P") && &*b.port == "y"));
         assert!(hits.iter().any(|b| b.processor == ProcessorName::from("Q") && &*b.port == "x"));
         // Misses return empty; other runs are isolated.
-        assert!(s.bindings_with_value(r, &Value::str("nope")).is_empty());
+        assert!(s
+            .pin(r)
+            .bindings_with_value(&Value::str("nope"), &mut ProbeStats::new())
+            .is_empty());
         let r2 = s.begin_run(&"wf".into());
-        assert!(s.bindings_with_value(r2, &Value::str("out")).is_empty());
+        assert!(s
+            .pin(r2)
+            .bindings_with_value(&Value::str("out"), &mut ProbeStats::new())
+            .is_empty());
     }
 
     #[test]
@@ -1755,8 +1675,9 @@ mod tests {
         s.record_xfer(small, xfer(("P", "y"), ("Q", "x"), &[0], "v"));
 
         let before = s.stats().snapshot();
-        assert_eq!(s.xforms_of_run(small).len(), 1);
-        assert_eq!(s.xfers_of_run(small).len(), 1);
+        let view = s.pin(small);
+        assert_eq!(view.xforms_of_run(&mut view.probe_guard()).len(), 1);
+        assert_eq!(view.xfers_of_run(&mut view.probe_guard()).len(), 1);
         let after = s.stats().snapshot();
         assert_eq!(after.rows_scanned - before.rows_scanned, 2);
         assert_eq!(after.records_read - before.records_read, 2);
@@ -1771,8 +1692,10 @@ mod tests {
             s.record_xform(a, xform("P", 2 * i, &[2 * i], &[2 * i]));
             s.record_xform(b, xform("P", 2 * i + 1, &[2 * i + 1], &[2 * i + 1]));
         }
-        let rows_a: Vec<u32> = s.xforms_of_run(a).iter().map(|r| r.invocation).collect();
-        let rows_b: Vec<u32> = s.xforms_of_run(b).iter().map(|r| r.invocation).collect();
+        let rows_a: Vec<u32> =
+            s.pin(a).xforms_of_run(&mut ProbeStats::new()).iter().map(|r| r.invocation).collect();
+        let rows_b: Vec<u32> =
+            s.pin(b).xforms_of_run(&mut ProbeStats::new()).iter().map(|r| r.invocation).collect();
         assert_eq!(rows_a, vec![0, 2, 4, 6, 8]);
         assert_eq!(rows_b, vec![1, 3, 5, 7, 9]);
     }
@@ -1787,17 +1710,21 @@ mod tests {
         s.record_xform(r, xform("P", 1, &[1], &[1]));
         s.record_xfer(r, xfer(("P", "y"), ("Q", "x"), &[0], "v"));
         // …so the view still answers from the pinned state…
-        assert_eq!(view.xforms_of_run().len(), 1);
+        assert_eq!(view.xforms_of_run(&mut ProbeStats::new()).len(), 1);
         assert_eq!(view.trace_record_count(), 1);
-        assert!(view.xforms_producing(&"P".into(), "y", &Index::single(1)).is_empty());
+        let q = Index::single(1);
+        assert!(view.xforms_producing(&"P".into(), "y", &q, &mut ProbeStats::new()).is_empty());
         // …while the store (and a fresh pin) see everything.
-        assert_eq!(s.xforms_of_run(r).len(), 2);
+        assert_eq!(s.pin(r).xforms_of_run(&mut ProbeStats::new()).len(), 2);
         assert_eq!(s.pin(r).trace_record_count(), 3);
-        assert_eq!(s.pin(r).xforms_producing(&"P".into(), "y", &Index::single(1)).len(), 1);
+        assert_eq!(
+            s.pin(r).xforms_producing(&"P".into(), "y", &q, &mut ProbeStats::new()).len(),
+            1
+        );
     }
 
     #[test]
-    fn pinned_view_matches_store_answers_and_counter_deltas() {
+    fn every_view_read_flushes_exactly_its_guard_totals() {
         let s = TraceStore::in_memory();
         let r = s.begin_run(&"wf".into());
         for i in 0..8 {
@@ -1805,18 +1732,36 @@ mod tests {
             s.record_xfer(r, xfer(("P", "y"), ("Q", "x"), &[i], "v"));
         }
         let view = s.pin(r);
-        let q = Index::single(3);
-        let before = s.stats().snapshot();
-        let via_store = s.xforms_producing(r, &"P".into(), "y", &q);
-        let store_delta = s.stats().snapshot().since(before);
-        let before = s.stats().snapshot();
-        let via_view = view.xforms_producing(&"P".into(), "y", &q);
-        let view_delta = s.stats().snapshot().since(before);
-        assert_eq!(via_store, via_view);
-        // The view's ProbeStats batching lands on identical totals, and
-        // both feed the same shared counters.
-        assert_eq!(store_delta, view_delta);
-        assert!(view_delta.index_lookups > 0);
+        let (p, q) = (ProcessorName::from("P"), ProcessorName::from("Q"));
+        let i = Index::single(3);
+        type Read<'a> = &'a dyn Fn(&mut ProbeStats) -> usize;
+        let reads: [(&str, Read); 9] = [
+            ("xforms_producing", &|g| view.xforms_producing(&p, "y", &i, g).len()),
+            ("xforms_consuming", &|g| view.xforms_consuming(&p, "x", &i, g).len()),
+            ("xfers_into", &|g| view.xfers_into(&q, "x", &i, g).len()),
+            ("xfers_from", &|g| view.xfers_from(&p, "y", &i, g).len()),
+            ("input_bindings", &|g| view.input_bindings(&p, "x", &i, g).len()),
+            ("xfer_src_bindings", &|g| view.xfer_src_bindings(&p, "y", &i, g).len()),
+            ("xforms_of_run", &|g| view.xforms_of_run(g).len()),
+            ("xfers_of_run", &|g| view.xfers_of_run(g).len()),
+            ("bindings_with_value", &|g| view.bindings_with_value(&Value::str("v"), g).len()),
+        ];
+        for (name, read) in reads {
+            let before = s.stats().snapshot();
+            let mut guard = view.probe_guard();
+            assert!(read(&mut guard) > 0, "{name} found nothing");
+            let counted = guard.so_far();
+            assert_eq!(s.stats().snapshot(), before, "{name} flushed before its guard dropped");
+            drop(guard);
+            let delta = s.stats().snapshot().since(before);
+            let flushed = ProbeStats {
+                index_lookups: delta.index_lookups,
+                records_read: delta.records_read,
+                rows_scanned: delta.rows_scanned,
+            };
+            assert_eq!(flushed, counted, "{name}");
+            assert!(counted.index_lookups + counted.rows_scanned > 0, "{name} counted nothing");
+        }
     }
 
     #[test]
@@ -1829,12 +1774,14 @@ mod tests {
         let other = s.begin_run(&"wf".into());
         s.record_xform(other, xform("Q", 0, &[0], &[0]));
         let before = s.stats().snapshot();
-        assert!(s.xforms_producing(other, &"P".into(), "y", &q).is_empty());
+        let view = s.pin(other);
+        assert!(view.xforms_producing(&"P".into(), "y", &q, &mut view.probe_guard()).is_empty());
         let known_delta = s.stats().snapshot().since(before);
         // …and of a run that does not exist at all must cost the same
-        // index descents (|q| + 2 for the overlap lookup).
+        // index lookups (|q| + 2 for the overlap lookup).
         let before = s.stats().snapshot();
-        assert!(s.xforms_producing(RunId(99), &"P".into(), "y", &q).is_empty());
+        let view = s.pin(RunId(99));
+        assert!(view.xforms_producing(&"P".into(), "y", &q, &mut view.probe_guard()).is_empty());
         let unknown_delta = s.stats().snapshot().since(before);
         assert_eq!(known_delta, unknown_delta);
         assert_eq!(unknown_delta.index_lookups, q.len() as u64 + 2);
@@ -1849,8 +1796,8 @@ mod tests {
         s.drop_run(r).unwrap();
         // The store no longer answers; the pinned view holds the shard
         // alive until it drops.
-        assert!(s.xforms_of_run(r).is_empty());
-        assert_eq!(view.xforms_of_run().len(), 1);
+        assert!(s.pin(r).xforms_of_run(&mut ProbeStats::new()).is_empty());
+        assert_eq!(view.xforms_of_run(&mut ProbeStats::new()).len(), 1);
     }
 
     #[test]
@@ -1873,7 +1820,7 @@ mod tests {
         assert_eq!(s.total_record_count(), 200);
         // Every run sees exactly its own 50 rows via its spans.
         for info in s.runs() {
-            assert_eq!(s.xforms_of_run(info.id).len(), 50);
+            assert_eq!(s.pin(info.id).xforms_of_run(&mut ProbeStats::new()).len(), 50);
         }
     }
 
@@ -1909,7 +1856,12 @@ mod tests {
         assert_eq!(s.trace_record_count(RunId(0)), 3);
         assert!(s.runs()[0].finished);
         assert_eq!(s.workflow_json(&"wf".into()).unwrap(), "{\"fake\":1}");
-        assert_eq!(s.xforms_producing(RunId(0), &"P".into(), "y", &Index::empty()).len(), 2);
+        assert_eq!(
+            s.pin(RunId(0))
+                .xforms_producing(&"P".into(), "y", &Index::empty(), &mut ProbeStats::new())
+                .len(),
+            2
+        );
         // Run ids continue past the replayed space.
         assert_eq!(s.begin_run(&"wf".into()), RunId(1));
     }
@@ -1966,7 +1918,12 @@ mod tests {
         // Generation 1 state plus the replayed tail past the marker. The
         // records between the two snapshots are lost to the corruption —
         // the degraded-but-available contract.
-        assert_eq!(s.xforms_producing(RunId(0), &"P".into(), "y", &Index::single(0)).len(), 1);
+        assert_eq!(
+            s.pin(RunId(0))
+                .xforms_producing(&"P".into(), "y", &Index::single(0), &mut ProbeStats::new())
+                .len(),
+            1
+        );
         assert!(s.runs()[0].finished);
     }
 

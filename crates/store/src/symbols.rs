@@ -76,12 +76,6 @@ impl SymbolTable {
     pub fn len(&self) -> usize {
         self.names.len()
     }
-
-    /// Whether no names are interned.
-    #[allow(dead_code)] // completes the len/is_empty pair; exercised in tests
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
 }
 
 /// Number of 16-bit component groups in a packed key.
@@ -151,7 +145,7 @@ impl IndexKey {
     }
 
     /// Converts back to an [`Index`].
-    #[allow(dead_code)] // inverse of `from_index`; exercised in tests
+    #[cfg(test)]
     pub fn to_index(&self) -> Index {
         match self {
             IndexKey::Packed { .. } => {
@@ -172,7 +166,7 @@ impl IndexKey {
     }
 
     /// Whether this is the empty index.
-    #[allow(dead_code)] // completes the len/is_empty pair; exercised in tests
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }

@@ -252,7 +252,7 @@ impl WalWriter {
     }
 
     /// Appends one record (buffered; call [`WalWriter::sync`] to flush).
-    /// Payloads are produced by the streaming encoder ([`crate::encode`]),
+    /// Payloads are produced by the store's streaming encoder (`encode.rs`),
     /// which writes the same bytes as `serde_json::to_vec` without building
     /// the intermediate JSON tree.
     pub fn append(&mut self, record: &LogRecord) -> Result<(), WalError> {

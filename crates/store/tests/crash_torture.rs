@@ -19,7 +19,7 @@ use proptest::prelude::*;
 
 use prov_engine::{PortBinding, TraceEvent, TraceSink, XformEvent};
 use prov_model::{Index, ProcessorName, RunId, Value};
-use prov_store::{FaultPlan, StoreError, TailState, TraceStore};
+use prov_store::{FaultPlan, ProbeStats, StoreError, TailState, TraceStore};
 
 /// One synthetic xform event, distinguishable by `n`.
 fn ev(n: u32) -> TraceEvent {
@@ -121,8 +121,14 @@ fn torture_case(tag: &str, events: &[TraceEvent], chunk: usize, offset: u64) {
     for batch in &batches[..durable_batches] {
         expected.record_batch(run, batch.to_vec());
     }
-    assert_eq!(reopened.xforms_of_run(RunId(0)), expected.xforms_of_run(run));
-    assert_eq!(reopened.xfers_of_run(RunId(0)), expected.xfers_of_run(run));
+    assert_eq!(
+        reopened.pin(RunId(0)).xforms_of_run(&mut ProbeStats::new()),
+        expected.pin(run).xforms_of_run(&mut ProbeStats::new())
+    );
+    assert_eq!(
+        reopened.pin(RunId(0)).xfers_of_run(&mut ProbeStats::new()),
+        expected.pin(run).xfers_of_run(&mut ProbeStats::new())
+    );
     assert_eq!(reopened.trace_record_count(RunId(0)), expected.trace_record_count(run));
 
     // The store keeps working after recovery: appends land cleanly.

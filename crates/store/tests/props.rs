@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use prov_engine::{PortBinding, TraceEvent, TraceSink, XferEvent, XformEvent};
 use prov_model::{Index, PortRef, ProcessorName, RunId, Value};
-use prov_store::TraceStore;
+use prov_store::{ProbeStats, TraceStore};
 
 /// A random stream of events over a small universe of processors/ports.
 #[derive(Debug, Clone)]
@@ -104,7 +104,8 @@ proptest! {
 
         let probe = Index::from_slice(&probe_idx);
         let got: Vec<u32> = store
-            .xforms_producing(run, &proc_name(probe_proc), "y", &probe)
+            .pin(run)
+            .xforms_producing(&proc_name(probe_proc), "y", &probe, &mut ProbeStats::new())
             .into_iter()
             .map(|r| r.invocation)
             .collect();
@@ -136,7 +137,8 @@ proptest! {
         apply(&store, run, &events);
 
         let probe = Index::from_slice(&probe_idx);
-        let got = store.xfers_into(run, &proc_name(probe_proc), "x", &probe).len();
+        let view = store.pin(run);
+        let got = view.xfers_into(&proc_name(probe_proc), "x", &probe, &mut ProbeStats::new()).len();
         let expected = events
             .iter()
             .filter(|e| match e {
@@ -172,8 +174,9 @@ proptest! {
         prop_assert_eq!(replayed.value_count(), fresh.value_count());
         // Spot-check a few lookups agree.
         for p in 0..3u8 {
-            let a = replayed.xforms_producing(run, &proc_name(p), "y", &Index::empty()).len();
-            let b = fresh.xforms_producing(run2, &proc_name(p), "y", &Index::empty()).len();
+            let (va, vb) = (replayed.pin(run), fresh.pin(run2));
+            let a = va.xforms_producing(&proc_name(p), "y", &Index::empty(), &mut ProbeStats::new()).len();
+            let b = vb.xforms_producing(&proc_name(p), "y", &Index::empty(), &mut ProbeStats::new()).len();
             prop_assert_eq!(a, b);
         }
     }
@@ -189,7 +192,8 @@ proptest! {
         apply(&store, r2, &ev2);
 
         for p in 0..3u8 {
-            let n1 = store.xforms_producing(r1, &proc_name(p), "y", &Index::empty()).len();
+            let view = store.pin(r1);
+            let n1 = view.xforms_producing(&proc_name(p), "y", &Index::empty(), &mut ProbeStats::new()).len();
             let expected1 = ev1.iter().filter(|e| matches!(e, Ev::Xform { proc, .. } if *proc == p)).count();
             prop_assert_eq!(n1, expected1);
         }
@@ -219,17 +223,18 @@ proptest! {
             batched.record_batch(r2, batch.to_vec());
         }
 
-        prop_assert_eq!(one_by_one.xforms_of_run(r1), batched.xforms_of_run(r2));
-        prop_assert_eq!(one_by_one.xfers_of_run(r1), batched.xfers_of_run(r2));
+        let (v1, v2) = (one_by_one.pin(r1), batched.pin(r2));
+        prop_assert_eq!(v1.xforms_of_run(&mut ProbeStats::new()), v2.xforms_of_run(&mut ProbeStats::new()));
+        prop_assert_eq!(v1.xfers_of_run(&mut ProbeStats::new()), v2.xfers_of_run(&mut ProbeStats::new()));
         prop_assert_eq!(one_by_one.value_count(), batched.value_count());
         prop_assert_eq!(one_by_one.index_key_counts(), batched.index_key_counts());
 
         let probe = Index::from_slice(&probe_idx);
         let before1 = one_by_one.stats().snapshot();
-        let a1 = one_by_one.xforms_producing(r1, &proc_name(probe_proc), "y", &probe);
+        let a1 = v1.xforms_producing(&proc_name(probe_proc), "y", &probe, &mut v1.probe_guard());
         let w1 = one_by_one.stats().snapshot().since(before1);
         let before2 = batched.stats().snapshot();
-        let a2 = batched.xforms_producing(r2, &proc_name(probe_proc), "y", &probe);
+        let a2 = v2.xforms_producing(&proc_name(probe_proc), "y", &probe, &mut v2.probe_guard());
         let w2 = batched.stats().snapshot().since(before2);
         prop_assert_eq!(a1, a2);
         prop_assert_eq!(w1.index_lookups, w2.index_lookups);
@@ -261,8 +266,9 @@ proptest! {
         let r2 = fresh.begin_run(&"wf".into());
         apply(&fresh, r2, &events);
 
-        prop_assert_eq!(replayed.xforms_of_run(run), fresh.xforms_of_run(r2));
-        prop_assert_eq!(replayed.xfers_of_run(run), fresh.xfers_of_run(r2));
+        let (v1, v2) = (replayed.pin(run), fresh.pin(r2));
+        prop_assert_eq!(v1.xforms_of_run(&mut ProbeStats::new()), v2.xforms_of_run(&mut ProbeStats::new()));
+        prop_assert_eq!(v1.xfers_of_run(&mut ProbeStats::new()), v2.xfers_of_run(&mut ProbeStats::new()));
         prop_assert_eq!(replayed.value_count(), fresh.value_count());
         prop_assert_eq!(replayed.index_key_counts(), fresh.index_key_counts());
     }

@@ -54,6 +54,7 @@ fn main() {
     println!("divergent processors: {}", tdiff.divergent().len());
 
     // Value search: where did "item-2" flow?
-    let hits = store.bindings_with_value(run_b, &Value::str("item-2"));
+    let view = store.pin(run_b);
+    let hits = view.bindings_with_value(&Value::str("item-2"), &mut view.probe_guard());
     println!("\n\"item-2\" appears in {} bindings of {}", hits.len(), run_b);
 }

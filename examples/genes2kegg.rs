@@ -32,11 +32,12 @@ fn main() {
 
     // A partial fine-grained trace, in the notation of the paper's Fig. 2.
     println!("\npartial provenance trace (xform events of the left branch):");
-    for rec in store.xforms_producing(
-        outcome.run_id,
+    let view = store.pin(outcome.run_id);
+    for rec in view.xforms_producing(
         &ProcessorName::from("get_pathways_by_genes"),
         "return",
         &Index::empty(),
+        &mut view.probe_guard(),
     ) {
         let inp = rec.input("genes_id_list").unwrap();
         let out = rec.output("return").unwrap();

@@ -56,9 +56,10 @@ fn fig2_trace_events_have_matching_indices_per_branch_stage() {
     let input = bio::sample_gene_lists(2, 2, 1);
     let run = bio::run_genes2kegg(&wf, db, input, &store).run_id;
 
+    let view = store.pin(run);
     for proc in ["get_pathways_by_genes", "getPathwayDescriptions"] {
-        let recs =
-            store.xforms_producing(run, &ProcessorName::from(proc), "return", &Index::empty());
+        let p = ProcessorName::from(proc);
+        let recs = view.xforms_producing(&p, "return", &Index::empty(), &mut view.probe_guard());
         assert_eq!(recs.len(), 2, "{proc} iterates once per sub-list");
         for rec in recs {
             let input_idx = &rec.inputs().next().unwrap().index;
@@ -69,11 +70,11 @@ fn fig2_trace_events_have_matching_indices_per_branch_stage() {
     }
 
     // Transfers into the workflow output preserve the sub-list indices.
-    let xfers = store.xfers_into(
-        run,
+    let xfers = view.xfers_into(
         &ProcessorName::from("genes2Kegg"),
         "paths_per_gene",
         &Index::empty(),
+        &mut view.probe_guard(),
     );
     assert!(!xfers.is_empty());
     for x in xfers {
@@ -135,7 +136,9 @@ fn fig3_trace_has_n_by_m_events_for_the_cross_product() {
         .unwrap()
         .run_id;
 
-    let p_events = store.xforms_producing(run, &ProcessorName::from("P"), "Y", &Index::empty());
+    let view = store.pin(run);
+    let (p, r) = (ProcessorName::from("P"), ProcessorName::from("R"));
+    let p_events = view.xforms_producing(&p, "Y", &Index::empty(), &mut view.probe_guard());
     assert_eq!(p_events.len(), 2 * 3); // n · m
     for rec in &p_events {
         let x1 = rec.input("X1").unwrap();
@@ -149,7 +152,7 @@ fn fig3_trace_has_n_by_m_events_for_the_cross_product() {
     }
 
     // R's single event consumed w whole: ⟨R:X[], w⟩ → ⟨R:Y[], b⟩.
-    let r_events = store.xforms_producing(run, &ProcessorName::from("R"), "Y", &Index::empty());
+    let r_events = view.xforms_producing(&r, "Y", &Index::empty(), &mut view.probe_guard());
     assert_eq!(r_events.len(), 1);
     assert!(r_events[0].inputs().next().unwrap().index.is_empty());
 }
